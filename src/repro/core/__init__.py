@@ -32,7 +32,12 @@ from .mapequation import (
     delta_from_values,
     plogp,
 )
-from .moves import MoveProposal, best_move, neighbor_module_flows
+from .moves import (
+    MoveProposal,
+    best_move,
+    neighbor_module_flows,
+    score_vertex,
+)
 from .result import ClusteringResult, LevelRecord
 from .sequential import SequentialInfomap, cluster_level, sequential_infomap
 from .swap import (
@@ -94,6 +99,7 @@ __all__ = [
     "score_block",
     "score_block_stats",
     "score_block_table",
+    "score_vertex",
     "sequential_infomap",
     "warm_distributed_infomap",
     "warm_seed_membership",

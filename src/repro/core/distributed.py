@@ -165,6 +165,8 @@ def _score_candidates(
     # Scalar math (math.log2) beats numpy temporaries by ~10x on the
     # 2-8 candidate modules a real vertex has; the vectorized kernel in
     # mapequation remains the reference the tests cross-check against.
+    # (The sequential scorer keeps np.log2: it must match the batch
+    # kernel's deltas bit for bit, and math.log2 differs in the last bit.)
     log2 = math.log2
     sum_exit = state.sum_exit_global
     q_old_after = q_old - x_u + 2.0 * d_old

@@ -1,10 +1,12 @@
 """Batched move evaluation: score a whole block of vertices at once.
 
-The scalar kernels (:func:`repro.core.moves.best_move` and the
-distributed ``_evaluate_move``) pay ~8 tiny numpy calls *per vertex*,
-so interpreter overhead — not arithmetic — dominates greedy sweeps.
-This module evaluates every candidate move of a whole block of vertices
-in O(1) numpy calls:
+The per-vertex kernels (:func:`repro.core.moves.score_vertex`, which
+``best_move`` wraps, and the distributed ``_evaluate_move``) pay a
+fixed interpreter cost per vertex — a neighbourhood aggregation plus,
+for the sequential scorer, a handful of numpy calls around its one
+``np.log2`` — so interpreter overhead, not arithmetic, dominates greedy
+sweeps.  This module evaluates every candidate move of a whole block of
+vertices in O(1) numpy calls:
 
 1. gather the block's CSR adjacency slices in one shot
    (:func:`repro.graph.graph.gather_rows`),
@@ -19,7 +21,7 @@ Exactness contract
 
 The sequential consumer commits batch decisions directly, so the batch
 numbers must be **bitwise identical** to the scalar path's, not merely
-close.  Two empirically-verified numpy facts make that possible:
+close.  Three empirically-verified numpy facts make that possible:
 
 * ``np.bincount(inv, weights=w)`` accumulates each bin's partial sum
   sequentially in entry order (it matches a Python ``+=`` loop to the
@@ -32,6 +34,15 @@ close.  Two empirically-verified numpy facts make that possible:
   every aggregated flow is bitwise equal to its scalar counterpart.
 * ``delta_from_values`` is purely elementwise (no reductions), so
   feeding it bitwise-equal inputs yields bitwise-equal deltas.
+* ``np.log2`` gives an element the same bits whether it is evaluated
+  as a 0-d array or at any position of an array of any length (SIMD
+  dispatch does not change the result), so
+  :func:`repro.core.moves.score_vertex` can push all of a vertex's
+  ``plogp`` arguments through one masked ``np.log2`` call and still
+  match ``plogp``'s per-term calls bit for bit.  ``math.log2`` does
+  *not* share this guarantee: it disagrees with ``np.log2`` in the last
+  bit on a small fraction of inputs on AVX-512 hosts, so the sequential
+  path never uses it.  ``tests/test_kernels.py`` pins this fact.
 
 Per-vertex totals ``x_u`` are summed over the *aggregated* per-module
 flows in ascending-module order (one more ``bincount``); the scalar
@@ -56,7 +67,10 @@ vertex's score in exactly two ways:
   :func:`drift_guard_bound`.  Decisions whose margin beats the bound
   (plus a float-noise slack when the two paths round differently) are
   provably identical to a fresh scalar evaluation; everything else
-  falls back to the scalar kernel.
+  is re-scored exactly with ``score_vertex``, on the block's cached
+  segment when no neighbour of the vertex has moved since the block
+  was scored (the segment then equals a fresh aggregation bitwise) and
+  on a fresh ``neighbor_module_flows`` aggregation otherwise.
 
 At zero drift with no touched module the bound is exactly 0 and the
 decisions are bitwise-identical by construction — that is the case the

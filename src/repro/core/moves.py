@@ -1,25 +1,33 @@
-"""Best-move evaluation: the inner kernel of both algorithms.
+"""Best-move evaluation: the sequential algorithm's inner kernel.
 
 Given a vertex, its current membership and the module aggregates,
 evaluate the codelength change of moving it into each neighbouring
-module and return the best strictly-improving move.  Both the
-sequential loop (Algorithm 1 lines 16–22) and each rank's local
-clustering in the distributed algorithm (Algorithm 2 line 3) call this
-kernel; the distributed variant additionally distinguishes *boundary*
-modules so the min-label anti-bouncing rule can be applied.
+module and return the best strictly-improving move (Algorithm 1 lines
+16–22).  :func:`score_vertex` is the one exact scorer: the scalar
+sweep reaches it through :func:`best_move`, the batched sweep calls it
+directly for every decision its drift guard cannot certify.  The
+distributed ranks' local clustering (Algorithm 2 line 3) has its own
+scorer in ``core/distributed.py``, which adds the min-label
+anti-bouncing rule for *boundary* modules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import FlowNetwork
 from .kernels import aggregate_module_flows
-from .mapequation import ModuleStats, delta_codelength
+from .mapequation import ModuleStats
 
-__all__ = ["MoveProposal", "neighbor_module_flows", "best_move"]
+__all__ = [
+    "MoveProposal",
+    "neighbor_module_flows",
+    "score_vertex",
+    "best_move",
+]
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,72 @@ def neighbor_module_flows(
     return aggregate_module_flows(membership[nbrs], wts)
 
 
+def score_vertex(
+    stats: ModuleStats,
+    current: int,
+    mods: np.ndarray,
+    flows: np.ndarray,
+    *,
+    p_u: float,
+    x_u: float,
+    d_old: float,
+) -> tuple[int, float, float]:
+    """Exact best candidate of one vertex: ``(target, delta, d_new)``.
+
+    *mods*/*flows* are the vertex's aggregated neighbour modules (any
+    order) and its link flow into each, as returned by
+    :func:`neighbor_module_flows` or cached in a
+    :class:`~repro.core.kernels.BlockAggregates` segment.  Every module
+    other than *current* is a candidate.  The result is bitwise equal
+    to the first argmin of :func:`delta_codelength` over the same
+    candidates: each ``plogp`` argument is built with the same float
+    expression and association as :func:`delta_from_values`, all of
+    them go through one masked ``np.log2`` call (the same ufunc, so the
+    same bits, as ``plogp``'s), and the terms combine in the same
+    order.  Returns ``(current, inf, d_old)`` when there is no
+    candidate.
+    """
+    s = float(stats.sum_exit)
+    q_old = float(stats.exit[current])
+    p_old = float(stats.sum_p[current])
+    q_old_after = q_old - x_u + 2.0 * d_old
+    p_old_after = p_old - p_u
+    s_base = s + (q_old_after - q_old)
+    args = [s, q_old_after, q_old, q_old_after + p_old_after, q_old + p_old]
+    targets: list[int] = []
+    d_news: list[float] = []
+    for m, f, q, p in zip(
+        mods.tolist(), flows.tolist(),
+        stats.exit[mods].tolist(), stats.sum_p[mods].tolist(),
+    ):
+        if m == current:
+            continue
+        q_after = q + x_u - 2.0 * f
+        args += (s_base + (q_after - q), q_after, q, q_after + (p + p_u),
+                 q + p)
+        targets.append(m)
+        d_news.append(f)
+    if not targets:
+        return current, math.inf, d_old
+
+    # plogp of every argument at once: x·log2(x) for x > 0, else 0.
+    a = np.array(args)
+    pos = a > 0
+    pl = np.log2(a, where=pos, out=np.zeros(a.size))
+    np.multiply(a, pl, where=pos, out=pl)
+    v = pl.tolist()
+    se0 = v[0]
+    old_exit = 2.0 * (v[1] - v[2])
+    old_mod = v[3] - v[4]
+    deltas = [
+        v[k] - se0 - old_exit - 2.0 * (v[k + 1] - v[k + 2])
+        + old_mod + (v[k + 3] - v[k + 4])
+        for k in range(5, len(v), 5)
+    ]
+    best = min(range(len(deltas)), key=deltas.__getitem__)  # first min
+    return targets[best], deltas[best], d_news[best]
+
+
 def best_move(
     network: FlowNetwork,
     membership: np.ndarray,
@@ -75,24 +149,15 @@ def best_move(
     u: int,
     *,
     min_improvement: float = 1e-12,
-    tie_eps: float = 0.0,
-    prefer_min_label: bool = False,
-    candidate_filter: "np.ndarray | None" = None,
 ) -> MoveProposal:
     """Evaluate all neighbouring modules of ``u`` and pick the best.
+
+    Ties break toward the first-found best, i.e. the smallest module id
+    (the candidates are the sorted unique neighbour modules).
 
     Args:
         min_improvement: a move must achieve ``delta < -min_improvement``
             (the paper's strict ``δL < 0`` with a float-noise guard).
-        tie_eps: candidates within ``tie_eps`` of the best delta are
-            considered tied.
-        prefer_min_label: break ties toward the smallest module id (the
-            anti-bouncing heuristic of §3.4); when False ties break
-            toward the first-found best (deterministic given the sorted
-            unique module ids).
-        candidate_filter: optional boolean mask over module ids —
-            ``True`` entries are admissible targets (the distributed
-            algorithm restricts delegate proposals this way).
 
     Returns:
         A :class:`MoveProposal`; ``target == current`` when staying put
@@ -106,48 +171,12 @@ def best_move(
     d_old = (
         float(flows[pos]) if pos < mods.size and mods[pos] == current else 0.0
     )
-
-    stay = MoveProposal(
-        vertex=u, current=current, target=current, delta=0.0,
-        p_u=p_u, x_u=x_u, d_old=d_old, d_new=d_old,
+    target, delta, d_new = score_vertex(
+        stats, current, mods, flows, p_u=p_u, x_u=x_u, d_old=d_old
     )
-    if mods.size == 0:
-        return stay
-
-    cand_mask = mods != current
-    if candidate_filter is not None:
-        cand_mask &= candidate_filter[mods]
-    if not cand_mask.any():
-        return stay
-    cand_mods = mods[cand_mask]
-    cand_flows = flows[cand_mask]
-
-    deltas = delta_codelength(
-        stats, old=current, new=cand_mods,
-        p_u=p_u, x_u=x_u, d_old=d_old, d_new=cand_flows,
-    )
-    best_idx = int(np.argmin(deltas))
-    best_delta = float(deltas[best_idx])
-    if best_delta >= -min_improvement:
-        return stay
-
-    if prefer_min_label or tie_eps > 0.0:
-        tied = np.flatnonzero(deltas <= best_delta + tie_eps)
-        if prefer_min_label:
-            # cand_mods is sorted (np.unique), so the first tied index
-            # has the smallest module id.
-            best_idx = int(tied[0])
-        else:
-            best_idx = int(tied[np.argmin(deltas[tied])])
-        best_delta = float(deltas[best_idx])
-
+    if delta >= -min_improvement:
+        target, delta, d_new = current, 0.0, d_old
     return MoveProposal(
-        vertex=u,
-        current=current,
-        target=int(cand_mods[best_idx]),
-        delta=best_delta,
-        p_u=p_u,
-        x_u=x_u,
-        d_old=d_old,
-        d_new=float(cand_flows[best_idx]),
+        vertex=u, current=current, target=target, delta=delta,
+        p_u=p_u, x_u=x_u, d_old=d_old, d_new=d_new,
     )

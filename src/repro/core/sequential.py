@@ -26,7 +26,7 @@ from .config import InfomapConfig
 from .flow import FlowNetwork
 from .kernels import drift_guard_bound, score_block_stats
 from .mapequation import ModuleStats
-from .moves import best_move
+from .moves import best_move, score_vertex
 from .result import ClusteringResult, LevelRecord
 
 __all__ = ["SequentialInfomap", "cluster_level", "sequential_infomap"]
@@ -74,17 +74,21 @@ def _sweep_batched(
 
     Each block is scored against the live stats in one vectorized
     shot; vertices whose decision is provably unaffected by commits
-    earlier in the block skip the scalar path entirely (robust stays)
+    earlier in the block skip the exact scorer entirely (robust stays)
     or commit the batch decision directly (robust moves, with
     bitwise-identical apply_move arguments).  Everything inside the
-    drift-guard margin falls back to the scalar ``best_move``, so the
-    sweep's committed move sequence is identical to the scalar sweep's.
+    drift-guard margin is re-scored exactly against the live stats, so
+    the sweep's committed move sequence is identical to the scalar
+    sweep's.  The re-score reuses the block's cached neighbour-module
+    segment when no neighbour has moved since the block was scored
+    (the segment is then bitwise equal to a fresh aggregation, by the
+    ``aggregate_module_flows`` contract) and re-aggregates otherwise.
     """
     mi = config.min_improvement
     bs = config.batch_size
-    n = network.graph.num_vertices
+    g = network.graph
+    indptr, indices = g.indptr, g.indices
     moved = 0
-    touched = np.zeros(n, dtype=bool)
     for lo in range(0, order.size, bs):
         block = order[lo : lo + bs]
         agg, score = score_block_stats(network, membership, stats, block)
@@ -94,70 +98,73 @@ def _sweep_batched(
             # bitwise-identical to what the scalar path would do.
             continue
         s0 = stats.sum_exit
-        dirty: list[int] = []
+        # Modules whose aggregates a commit in this block changed, and
+        # the vertices committed in this block.
+        touched: set[int] = set()
+        movers: set[int] = set()
+        # Per-vertex reads below go through lists: numpy scalar access
+        # costs more than the decisions it feeds.
+        seg_ptr = agg.seg_ptr.tolist()
+        seg_mods = agg.seg_mods.tolist()
+        p_us = agg.p_u.tolist()
+        x_us = agg.x_u.tolist()
+        d_olds = agg.d_old.tolist()
+        targets = score.best_target.tolist()
+        deltas = score.best_delta.tolist()
+        d_news = score.best_d_new.tolist()
+        gaps = score.runner_gap.tolist()
 
-        def commit(i: int, u: int, cur: int) -> None:
+        def commit(u: int, cur: int, tgt: int, p_u: float, x_u: float,
+                   d_old: float, d_new: float) -> None:
             nonlocal moved
-            tgt = int(score.best_target[i])
-            stats.apply_move(
-                old=cur, new=tgt,
-                p_u=float(agg.p_u[i]), x_u=float(agg.x_u[i]),
-                d_old=float(agg.d_old[i]),
-                d_new=float(score.best_d_new[i]),
-            )
+            stats.apply_move(old=cur, new=tgt, p_u=p_u, x_u=x_u,
+                             d_old=d_old, d_new=d_new)
             membership[u] = tgt
             moved += 1
-            touched[cur] = True
-            touched[tgt] = True
-            dirty.append(cur)
-            dirty.append(tgt)
+            touched.add(cur)
+            touched.add(tgt)
+            movers.add(u)
 
-        for i in range(block.size):
-            u = int(block[i])
-            cur = int(agg.current[i])
-            if not dirty:
+        for i, (u, cur, st) in enumerate(
+            zip(block.tolist(), agg.current.tolist(), stay.tolist())
+        ):
+            if not touched:
                 # Snapshot still live: batch decision == scalar
                 # decision bitwise.
-                if bool(stay[i]):
-                    continue
-                commit(i, u, cur)
+                if not st:
+                    commit(u, cur, targets[i], p_us[i], x_us[i],
+                           d_olds[i], d_news[i])
                 continue
-            a = int(agg.seg_ptr[i])
-            b = int(agg.seg_ptr[i + 1])
-            affected = bool(touched[cur]) or (
-                a < b and bool(touched[agg.seg_mods[a:b]].any())
-            )
-            if not affected:
+            a = seg_ptr[i]
+            b = seg_ptr[i + 1]
+            if cur not in touched and touched.isdisjoint(seg_mods[a:b]):
                 s_now = stats.sum_exit
-                bound = drift_guard_bound(
-                    s_now - s0, float(agg.x_u[i]), s0, s_now
-                )
+                bound = drift_guard_bound(s_now - s0, x_us[i], s0, s_now)
                 if bound > 0.0:
                     bound += _SEQ_GUARD_SLACK
-                margin = float(score.best_delta[i]) + mi
+                margin = deltas[i] + mi
                 if margin >= bound:
                     continue  # provably stays under live stats
-                if margin <= -bound and (
-                    float(score.runner_gap[i]) >= 2.0 * bound
-                ):
-                    commit(i, u, cur)
+                if margin <= -bound and gaps[i] >= 2.0 * bound:
+                    commit(u, cur, targets[i], p_us[i], x_us[i],
+                           d_olds[i], d_news[i])
                     continue
-            prop = best_move(network, membership, stats, u,
-                             min_improvement=mi)
-            if prop.is_move:
-                stats.apply_move(
-                    old=prop.current, new=prop.target,
-                    p_u=prop.p_u, x_u=prop.x_u,
-                    d_old=prop.d_old, d_new=prop.d_new,
-                )
-                membership[u] = prop.target
-                moved += 1
-                touched[prop.current] = True
-                touched[prop.target] = True
-                dirty.append(prop.current)
-                dirty.append(prop.target)
-        if dirty:
-            touched[np.asarray(dirty, dtype=np.int64)] = False
+            # Inside the guard: re-score exactly against live stats.
+            if not movers.isdisjoint(
+                indices[indptr[u] : indptr[u + 1]].tolist()
+            ):
+                prop = best_move(network, membership, stats, u,
+                                 min_improvement=mi)
+                if prop.is_move:
+                    commit(u, cur, prop.target, prop.p_u, prop.x_u,
+                           prop.d_old, prop.d_new)
+                continue
+            tgt, delta, d_new = score_vertex(
+                stats, cur, agg.seg_mods[a:b], agg.seg_flows[a:b],
+                p_u=p_us[i], x_u=x_us[i], d_old=d_olds[i],
+            )
+            if delta < -mi:
+                commit(u, cur, tgt, p_us[i], x_us[i], d_olds[i], d_new)
     return moved
 
 

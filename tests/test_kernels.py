@@ -11,6 +11,7 @@ memberships and *bitwise-identical* codelengths.
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from repro.core import (
     InfomapConfig,
     ModuleStats,
     aggregate_block_flows,
+    best_move,
     distributed_infomap,
     drift_guard_bound,
     neighbor_module_flows,
     score_block_stats,
+    score_vertex,
     sequential_infomap,
 )
+from repro.core.mapequation import delta_codelength
 from repro.core.swap import TableArrays
 from repro.graph import (
     barabasi_albert,
@@ -125,6 +129,135 @@ class TestAggregateBlockFlows:
             assert float(score.best_delta[i]) == float(np.min(deltas))
             assert int(score.best_target[i]) == int(
                 mods[cand][int(np.argmin(deltas))]
+            )
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _random_scoring_case(seed: int, k: int):
+    """A weighted graph with self-loops, a random k-module membership
+    and ModuleStats carrying incremental float dust."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    m = int(rng.integers(n, 4 * n))
+    src = rng.integers(0, n, size=m)
+    dst = rng.integers(0, n, size=m)
+    w = rng.choice([1.0, 0.5, 3.0], size=m) * rng.random(m)
+    g = from_edges(
+        zip(src.tolist(), dst.tolist(), w.tolist()),
+        num_vertices=n, keep_self_loops=True,
+    )
+    net = FlowNetwork.from_graph(g)
+    membership = rng.integers(0, min(k, n), size=n).astype(np.int64)
+    stats = ModuleStats.from_membership(net, membership)
+    # A few committed moves leave the float dust (and emptied modules)
+    # that live sweeps see.
+    for u in rng.choice(n, size=n // 3, replace=False).tolist():
+        prop = best_move(net, membership, stats, u)
+        if prop.is_move:
+            stats.apply_move(
+                old=prop.current, new=prop.target, p_u=prop.p_u,
+                x_u=prop.x_u, d_old=prop.d_old, d_new=prop.d_new,
+            )
+            membership[u] = prop.target
+    return net, membership, stats
+
+
+def _reference_best(stats, current, mods, flows, p_u, x_u, d_old):
+    """First argmin of the untouched numpy reference delta_codelength."""
+    cand = mods != current
+    if not cand.any():
+        return current, math.inf, d_old
+    deltas = delta_codelength(
+        stats, old=current, new=mods[cand], p_u=p_u, x_u=x_u,
+        d_old=d_old, d_new=flows[cand],
+    )
+    j = int(np.argmin(deltas))
+    return int(mods[cand][j]), float(deltas[j]), float(flows[cand][j])
+
+
+class TestScoreVertex:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000), k=st.integers(1, 64))
+    def test_property_matches_reference_bitwise(self, seed, k):
+        net, membership, stats = _random_scoring_case(seed, k)
+        g = net.graph
+        n = g.num_vertices
+        block = np.random.default_rng(seed).permutation(n)
+        agg = aggregate_block_flows(
+            g.indptr, g.indices, g.weights, block, membership,
+            net.node_flow, id_space=n,
+        )
+        for i, u in enumerate(block.tolist()):
+            cur = int(membership[u])
+            p_u = float(net.node_flow[u])
+            # Fresh aggregation, as best_move sees it.
+            mods, flows, x_u = neighbor_module_flows(net, membership, u)
+            hit = np.flatnonzero(mods == cur)
+            d_old = float(flows[hit[0]]) if hit.size else 0.0
+            want = _reference_best(stats, cur, mods, flows, p_u, x_u, d_old)
+            got = score_vertex(stats, cur, mods, flows,
+                               p_u=p_u, x_u=x_u, d_old=d_old)
+            assert got[0] == want[0]
+            assert _bits(got[1]) == _bits(want[1])
+            assert _bits(got[2]) == _bits(want[2])
+            # The cached block segment, as the batched sweep re-scores.
+            a, b = int(agg.seg_ptr[i]), int(agg.seg_ptr[i + 1])
+            cached = score_vertex(
+                stats, cur, agg.seg_mods[a:b], agg.seg_flows[a:b],
+                p_u=float(agg.p_u[i]), x_u=float(agg.x_u[i]),
+                d_old=float(agg.d_old[i]),
+            )
+            assert cached[0] == want[0]
+            assert _bits(cached[1]) == _bits(want[1])
+            assert _bits(cached[2]) == _bits(want[2])
+
+    def test_no_candidate_returns_current(self):
+        net, membership, stats = _random_scoring_case(3, 1)
+        cur = int(membership[0])
+        got = score_vertex(stats, cur, np.array([cur], dtype=np.int64),
+                           np.array([0.25]), p_u=0.1, x_u=0.25, d_old=0.25)
+        assert got == (cur, math.inf, 0.25)
+        empty = score_vertex(stats, cur, np.empty(0, np.int64),
+                             np.empty(0), p_u=0.1, x_u=0.0, d_old=0.0)
+        assert empty == (cur, math.inf, 0.0)
+
+
+def test_log2_bits_independent_of_length_and_offset():
+    """The numpy fact score_vertex relies on: ``np.log2`` (masked, as
+    ``plogp`` calls it) gives an element the same bits whether it is
+    evaluated as a 0-d array or at any position of any-length array.
+    A numpy or SIMD-dispatch change that breaks this fails here."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.random(256),
+        10.0 ** rng.uniform(-300, 300, size=256),
+        rng.random(256) * 1e-3,
+        [0.0, -1e-18, 1.0, 2.0, 0.5, 5e-324],
+    ])
+    whole = np.log2(x, where=x > 0, out=np.zeros_like(x))
+    single = np.array([
+        float(np.log2(v, where=v > 0, out=np.zeros_like(v)))
+        for v in (np.asarray(e) for e in x)
+    ])
+    np.testing.assert_array_equal(single.view(np.int64), whole.view(np.int64))
+    for length in (1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64):
+        for off in range(0, x.size - length, 37):
+            part = x[off:off + length].copy()
+            got = np.log2(part, where=part > 0, out=np.zeros(length))
+            np.testing.assert_array_equal(
+                got.view(np.int64), whole[off:off + length].view(np.int64)
+            )
+            # A view one element into a buffer: SIMD lanes split the
+            # data at other boundaries.
+            buf = np.empty(length + 1)
+            buf[1:] = part
+            view = buf[1:]
+            got = np.log2(view, where=view > 0, out=np.zeros(length))
+            np.testing.assert_array_equal(
+                got.view(np.int64), whole[off:off + length].view(np.int64)
             )
 
 

@@ -122,32 +122,6 @@ class TestBestMove:
         assert prop.target == lg.labels[0]
         assert prop.delta < 0
 
-    def test_candidate_filter(self):
-        lg = ring_of_cliques(3, 5)
-        net = FlowNetwork.from_graph(lg.graph)
-        membership = lg.labels.astype(np.int64).copy()
-        membership[0] = 99
-        stats = ModuleStats.from_membership(net, membership)
-        allowed = np.zeros(100, dtype=bool)  # forbid everything
-        prop = best_move(net, membership, stats, 0,
-                         candidate_filter=allowed)
-        assert not prop.is_move
-
-    def test_min_label_tie_break(self):
-        # A vertex equidistant between two identical modules must pick
-        # the smaller id under prefer_min_label.
-        from repro.graph import from_edges
-
-        g = from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
-                        (6, 0), (6, 3)])
-        net = FlowNetwork.from_graph(g)
-        membership = np.array([0, 0, 0, 1, 1, 1, 6], dtype=np.int64)
-        stats = ModuleStats.from_membership(net, membership)
-        prop = best_move(net, membership, stats, 6,
-                         prefer_min_label=True, tie_eps=1e-9)
-        if prop.is_move:
-            assert prop.target == 0
-
 
 @settings(max_examples=15, deadline=None)
 @given(
