@@ -13,9 +13,11 @@ import pytest
 def pytest_collection_modifyitems(config, items):
     """Skip throughput/observability guards unless ``--run-bench``.
 
-    The guards (frames-vs-pickle wire speedup, swap-cycle rounds/sec,
-    tracing overhead) take tens of seconds and measure wall-clock
-    ratios, so they don't belong in the default tier-1 sweep;
+    The guards (wire round throughput, swap-cycle rounds/sec, tracing
+    overhead, live overhead, procs scaling, rebalance skew, ingest
+    scale, incremental warm-start, nonblocking overlap) take tens of
+    seconds and measure wall-clock numbers, so they don't belong in the
+    default tier-1 sweep;
     ``pytest benchmarks/ --run-bench`` opts in.
     """
     if config.getoption("--run-bench"):

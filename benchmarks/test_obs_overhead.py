@@ -135,8 +135,8 @@ def test_traced_distributed_dblp_artifact(tmp_path):
     artifact = build_run_artifact(
         tracer, traced,
         manifest=build_manifest(
-            config=cfg, nranks=nranks, copy_mode="frames",
-            graph=data.graph, method="distributed",
+            config=cfg, nranks=nranks, graph=data.graph,
+            method="distributed",
         ),
     )
     path = tmp_path / "dblp.perfetto.json"

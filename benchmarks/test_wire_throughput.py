@@ -1,22 +1,20 @@
-"""End-to-end round throughput: typed frames vs the pickle oracle.
+"""End-to-end round throughput of the typed frame codec.
 
-Guards the tentpole of the typed frame codec: one full distributed
-round's message complement — membership churn, sparse membership-sync
-exchange, delegate-proposal allgather, full swap-batch exchange —
-driven through :func:`repro.simmpi.run_spmd` at 4 ranks over the
-local views of a 50k-vertex delegate-partitioned scale-free graph.
-The identical precomputed payload schedule runs once per copy mode,
-so both modes apply the same moves and the decoded values must match
-bitwise (asserted via checksums computed outside the timed region —
-reading a zero-copy frame view costs the same as reading pickle's
-copied array, so the placement favours neither codec).
+Records one full distributed round's message complement — membership
+churn, sparse membership-sync exchange, delegate-proposal allgather,
+full swap-batch exchange — driven through :func:`repro.simmpi.run_spmd`
+at 4 ranks over the local views of a 50k-vertex delegate-partitioned
+scale-free graph.  The payload schedule is precomputed, so the timed
+region only moves bytes.
 
-Asserted invariants:
+Asserted invariants (no throughput floor: the frame codec is the only
+transport, so there is no in-runtime baseline to hold a ratio against;
+its end-to-end cost is covered by the repo benchmark's distributed
+workloads):
 
-* median speedup of ``copy_mode="frames"`` over ``"pickle"`` >= 2x;
-* equal per-rank move counts and bitwise-equal checksums;
-* per-rank metered logical bytes under frames <= the pickle baseline
-  (equal by construction — the logical meter is codec-independent).
+* per-rank move counts equal the schedule's;
+* per-rank checksums over every decoded column equal the checksums of
+  the same columns read straight from the schedule, with no transport.
 
 Results land in ``BENCH_wire.json`` at the repo root;
 ``repro.bench.export.merge_bench_reports`` folds every
@@ -45,7 +43,6 @@ N_ROUNDS = 8
 CHURN_DIV = 2  # heavy churn: num_owned // 2 movers per rank per round
 N_PROPOSALS = 30_000  # delegate-proposal columns gathered per rank
 N_REPS = 5
-MIN_SPEEDUP = 2.0
 
 
 def _build_workload():
@@ -112,6 +109,44 @@ def _build_workload():
     return schedule, proposals, sync_payloads, swap_payloads
 
 
+def _checksum(inbox, gathered) -> float:
+    """Sum every column that crossed the wire, in deterministic order
+    (ascending sources / ranks)."""
+    acc = np.float64(0.0)
+    for got in inbox:
+        for src in sorted(got):
+            for c in got[src]:
+                acc += np.asarray(c).sum(dtype=np.float64)
+    for parts in gathered:
+        for cols in parts:
+            for c in cols:
+                acc += np.asarray(c).sum(dtype=np.float64)
+    return float(acc)
+
+
+def _outgoing(payloads, rank):
+    return {d: c for d, c in payloads[rank].items() if d != rank}
+
+
+def _expected(schedule, proposals, sync_payloads, swap_payloads):
+    """Per-rank ``(moves, checksum)`` read straight off the schedule."""
+    out = []
+    for rank in range(NRANKS):
+        inbox, gathered = [], []
+        moves = 0
+        for rnd in range(N_ROUNDS):
+            moves += schedule[rnd][rank][0].size
+            for payloads in (sync_payloads[rnd], swap_payloads[rnd]):
+                inbox.append({
+                    src: payloads[src][rank]
+                    for src in range(NRANKS)
+                    if src != rank and rank in payloads[src]
+                })
+            gathered.append(list(proposals[rnd]))
+        out.append((moves, _checksum(inbox, gathered)))
+    return out
+
+
 def _make_prog(schedule, proposals, sync_payloads, swap_payloads):
     def prog(comm):
         inbox, gathered = [], []
@@ -121,96 +156,61 @@ def _make_prog(schedule, proposals, sync_payloads, swap_payloads):
         for rnd in range(N_ROUNDS):
             movers, _targets = schedule[rnd][comm.rank]
             moves += movers.size
-            msgs = {
-                d: c
-                for d, c in sync_payloads[rnd][comm.rank].items()
-                if d != comm.rank
-            }
-            inbox.append(comm.exchange(msgs))
+            inbox.append(
+                comm.exchange(_outgoing(sync_payloads[rnd], comm.rank))
+            )
             gathered.append(comm.allgather(proposals[rnd][comm.rank]))
-            msgs = {
-                d: c
-                for d, c in swap_payloads[rnd][comm.rank].items()
-                if d != comm.rank
-            }
-            inbox.append(comm.exchange(msgs))
+            inbox.append(
+                comm.exchange(_outgoing(swap_payloads[rnd], comm.rank))
+            )
         elapsed = time.perf_counter() - t0
         comm.barrier()
-        # Value-identity checksum over everything that crossed the
-        # wire, in deterministic order (ascending sources / ranks).
-        acc = np.float64(0.0)
-        for got in inbox:
-            for src in sorted(got):
-                for c in got[src]:
-                    acc += np.asarray(c).sum(dtype=np.float64)
-        for parts in gathered:
-            for cols in parts:
-                for c in cols:
-                    acc += np.asarray(c).sum(dtype=np.float64)
-        return moves, float(acc), elapsed
+        return moves, _checksum(inbox, gathered), elapsed
 
     return prog
 
 
 def wire_throughput() -> dict:
-    prog = _make_prog(*_build_workload())
+    workload = _build_workload()
+    prog = _make_prog(*workload)
+    expected = _expected(*workload)
 
-    for mode in ("pickle", "frames"):  # warm both code paths
-        run_spmd(prog, NRANKS, copy_mode=mode)
-
-    times: dict = {"pickle": [], "frames": []}
-    outcomes: dict = {}
-    ledgers: dict = {}
+    run_spmd(prog, NRANKS)  # warm the code path
+    times = []
     for _rep in range(N_REPS):
-        for mode in ("pickle", "frames"):
-            res = run_spmd(prog, NRANKS, copy_mode=mode)
-            times[mode].append(max(r[2] for r in res.results))
-            outcomes[mode] = [(r[0], r[1]) for r in res.results]
-            ledgers[mode] = res.ledger
+        res = run_spmd(prog, NRANKS)
+        times.append(max(r[2] for r in res.results))
+        outcomes = [(r[0], r[1]) for r in res.results]
+        ledger = res.ledger
 
-    rows = []
-    for mode in ("pickle", "frames"):
-        med = statistics.median(times[mode])
-        ledger = ledgers[mode]
-        rows.append({
-            "copy_mode": mode,
-            "median_s": med,
-            "rounds_per_s": N_ROUNDS / med,
-            "all_s": sorted(times[mode]),
-            "physical_bytes_per_rank": [
-                ledger.for_rank(r).total_bytes_sent
-                for r in range(NRANKS)
-            ],
-            "logical_bytes_per_rank": [
-                ledger.for_rank(r).total_logical_bytes
-                for r in range(NRANKS)
-            ],
-            "moves_per_rank": [m for m, _c in outcomes[mode]],
-        })
-    speedup = rows[0]["median_s"] / rows[1]["median_s"]
-    rows[1]["speedup"] = speedup
-
-    lines = [
+    med = statistics.median(times)
+    row = {
+        "codec": "frames",
+        "median_s": med,
+        "rounds_per_s": N_ROUNDS / med,
+        "all_s": sorted(times),
+        "physical_bytes_per_rank": [
+            ledger.for_rank(r).total_bytes_sent for r in range(NRANKS)
+        ],
+        "logical_bytes_per_rank": [
+            ledger.for_rank(r).total_logical_bytes for r in range(NRANKS)
+        ],
+        "moves_per_rank": [m for m, _c in outcomes],
+    }
+    text = (
         f"wire round throughput, n={N_VERTICES} BA(m={ATTACH}), "
-        f"{NRANKS} ranks, {N_ROUNDS} rounds, median of {N_REPS}"
-    ]
-    for r in rows:
-        lines.append(
-            f"  {r['copy_mode']:>6}  {r['rounds_per_s']:>8.2f} rounds/s"
-            f"  ({r['median_s'] * 1e3:.1f} ms"
-            + (f", speedup {r['speedup']:.2f}x)" if "speedup" in r
-               else ")")
-        )
+        f"{NRANKS} ranks, {N_ROUNDS} rounds, median of {N_REPS}\n"
+        f"  frames  {row['rounds_per_s']:>8.2f} rounds/s"
+        f"  ({med * 1e3:.1f} ms)"
+    )
     return {
-        "text": "\n".join(lines),
-        "rows": rows,
-        "moves_equal": (
-            [m for m, _ in outcomes["pickle"]]
-            == [m for m, _ in outcomes["frames"]]
+        "text": text,
+        "rows": [row],
+        "moves_match_schedule": (
+            [m for m, _ in outcomes] == [m for m, _ in expected]
         ),
-        "checksums_equal": (
-            [c for _, c in outcomes["pickle"]]
-            == [c for _, c in outcomes["frames"]]
+        "checksums_match_schedule": (
+            [c for _, c in outcomes] == [c for _, c in expected]
         ),
         "n": N_VERTICES,
         "nranks": NRANKS,
@@ -223,20 +223,9 @@ def wire_throughput() -> dict:
 def test_wire_throughput(run_once):
     out = run_once(wire_throughput)
     print("\n" + out["text"])
-    assert out["moves_equal"], "copy modes applied different move counts"
-    assert out["checksums_equal"], "decoded values diverged across modes"
-
-    pickle_row, frames_row = out["rows"]
-    assert frames_row["speedup"] >= MIN_SPEEDUP, (
-        f"frames/pickle speedup {frames_row['speedup']:.2f} "
-        f"< {MIN_SPEEDUP}"
+    assert out["moves_match_schedule"], "ranks applied the wrong moves"
+    assert out["checksums_match_schedule"], (
+        "decoded values diverged from the payload schedule"
     )
-    # Logical traffic is codec-independent; frames must not inflate it.
-    for fb, pb in zip(
-        frames_row["logical_bytes_per_rank"],
-        pickle_row["logical_bytes_per_rank"],
-    ):
-        assert fb <= pb
-
     result_to_json(out, Path(__file__).resolve().parents[1] /
                    "BENCH_wire.json")

@@ -6,7 +6,8 @@
 #   scripts/check.sh --fast     # tier-1 only
 #
 # Tier-1 must pass unchanged.  The bench stage runs every
-# ``--run-bench`` guard (wire throughput, swap cycle, tracing
+# ``--run-bench`` guard (wire round throughput, recorded with no
+# floor and checked against its payload schedule; swap cycle, tracing
 # overhead, live-telemetry overhead/fidelity, procs-vs-threads
 # scaling, rebalance skew/quality, out-of-core ingest
 # parse/build/RSS, incremental warm-start

@@ -43,7 +43,6 @@ def gossipmap(
     config: InfomapConfig | None = None,
     *,
     machine: MachineModel | None = None,
-    copy_mode: str = "frames",
     timeout: float = 600.0,
     backend: str | None = None,
 ) -> ClusteringResult:
@@ -81,7 +80,6 @@ def gossipmap(
         _rank_program,
         nranks,
         fn_args=(views, cfg.with_(tracer=None), graph.num_vertices),
-        copy_mode=copy_mode,
         timeout=timeout,
         backend=backend if backend is not None else cfg.backend,
     )

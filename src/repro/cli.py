@@ -434,7 +434,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         manifest = build_manifest(
             config=cfg,
             nranks=nranks,
-            copy_mode="frames" if args.method == "distributed" else "none",
             graph=graph,
             method=args.method,
         )
@@ -476,7 +475,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"  method={manifest.get('method', '?')}"
             f"  nranks={artifact.get('nranks')}"
             f"  seed={manifest.get('seed', '?')}"
-            f"  copy_mode={manifest.get('copy_mode', '?')}"
         )
         g = manifest.get("graph", {})
         if g:
@@ -759,7 +757,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         manifest = build_manifest(
             config=cfg,
             nranks=nranks,
-            copy_mode="frames" if args.method == "distributed" else "none",
             graph=session.graph,
             method=args.method,
         )

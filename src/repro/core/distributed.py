@@ -1202,24 +1202,14 @@ def _rank_program(
     views: list[LocalGraph],
     cfg: InfomapConfig,
     n0: int,
+    seed_membership: "np.ndarray | None" = None,
+    active_seed: "np.ndarray | None" = None,
 ) -> dict[str, Any]:
-    """In-RAM rank program: local views were carved out by the driver."""
-    return _rank_body(comm, views[comm.rank], cfg, n0)
+    """In-RAM rank program: local views were carved out by the driver.
 
-
-def _rank_program_warm(
-    comm: Communicator,
-    views: list[LocalGraph],
-    cfg: InfomapConfig,
-    n0: int,
-    seed_membership: np.ndarray,
-    active_seed: "np.ndarray | None",
-) -> dict[str, Any]:
-    """Warm-start rank program: seeded membership + dirty active set.
-
-    Identical to :func:`_rank_program` except that stage 1 starts from
-    the cached (relabeled) membership instead of all-singletons and, when
-    an *active_seed* mask is given, only the dirty frontier is swept in
+    A warm start passes *seed_membership*: stage 1 then starts from the
+    cached (relabeled) membership instead of all-singletons and, when an
+    *active_seed* mask is given, only the dirty frontier is swept in
     round 1 — the O(changed region) property the incremental benchmark
     guards.
     """
@@ -1465,8 +1455,43 @@ def _rank_body(
 
 
 # ---------------------------------------------------------------------------
-# Public driver
+# Public drivers
 # ---------------------------------------------------------------------------
+
+def _launch(
+    program: Any,
+    nranks: int,
+    cfg: InfomapConfig,
+    *args: Any,
+    timeout: float,
+    tracer: Any,
+    live: Any,
+    backend: "str | None",
+    **kwargs: Any,
+) -> Any:
+    """Run a rank program as ``program(comm, *args, cfg=..., **kwargs)``.
+
+    The *tracer*, *live* and *backend* arguments override the config's
+    own.  The shipped config never carries the tracer or live plane:
+    ranks reach their buffers through the communicator (the engine
+    attaches them), and a Tracer holds a threading.Lock that cannot
+    cross the process-backend boundary.
+    """
+    ship_cfg = (
+        cfg.with_(tracer=None, live=None)
+        if (cfg.tracer is not None or cfg.live is not None) else cfg
+    )
+    return run_spmd(
+        program,
+        nranks,
+        fn_args=args,
+        fn_kwargs={"cfg": ship_cfg, **kwargs},
+        timeout=timeout,
+        tracer=tracer if tracer is not None else cfg.tracer,
+        live=live if live is not None else cfg.live,
+        backend=backend if backend is not None else cfg.backend,
+    )
+
 
 def distributed_infomap(
     graph: Graph,
@@ -1474,7 +1499,6 @@ def distributed_infomap(
     config: InfomapConfig | None = None,
     *,
     machine: MachineModel | None = None,
-    copy_mode: str = "frames",
     timeout: float = 600.0,
     tracer: Any = None,
     live: Any = None,
@@ -1505,9 +1529,6 @@ def distributed_infomap(
     trajectories and logical ledger totals are identical.
     """
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    lv = live if live is not None else cfg.live
-    bk = backend if backend is not None else cfg.backend
     if graph.num_edges == 0:
         raise ValueError("cannot cluster a graph with no edges")
 
@@ -1527,25 +1548,11 @@ def distributed_infomap(
         nranks=nranks,
     )
 
-    # The shipped config must not carry the tracer object: ranks reach
-    # their trace buffers through the communicator (the engine attaches
-    # them), and a Tracer holds a threading.Lock that cannot cross the
-    # process-backend boundary.
-    ship_cfg = (
-        cfg.with_(tracer=None, live=None)
-        if (cfg.tracer is not None or cfg.live is not None) else cfg
+    res = _launch(
+        _rank_program, nranks, cfg, views,
+        n0=graph.num_vertices,
+        timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
-    res = run_spmd(
-        _rank_program,
-        nranks,
-        fn_args=(views, ship_cfg, graph.num_vertices),
-        copy_mode=copy_mode,
-        timeout=timeout,
-        tracer=tr,
-        live=lv,
-        backend=bk,
-    )
-
     return _assemble_result(
         res,
         graph.num_vertices,
@@ -1564,7 +1571,6 @@ def warm_distributed_infomap(
     active: "np.ndarray | None" = None,
     views: "list[LocalGraph] | None" = None,
     machine: MachineModel | None = None,
-    copy_mode: str = "frames",
     timeout: float = 600.0,
     tracer: Any = None,
     live: Any = None,
@@ -1586,9 +1592,6 @@ def warm_distributed_infomap(
     *nranks* ranks.
     """
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    lv = live if live is not None else cfg.live
-    bk = backend if backend is not None else cfg.backend
     if graph.num_edges == 0:
         raise ValueError("cannot cluster a graph with no edges")
     n = graph.num_vertices
@@ -1610,19 +1613,10 @@ def warm_distributed_infomap(
         part = OneDPartition.round_robin(n, nranks)
         views = local_views_1d(network, part)
 
-    ship_cfg = (
-        cfg.with_(tracer=None, live=None)
-        if (cfg.tracer is not None or cfg.live is not None) else cfg
-    )
-    res = run_spmd(
-        _rank_program_warm,
-        nranks,
-        fn_args=(views, ship_cfg, n, seed, act),
-        copy_mode=copy_mode,
-        timeout=timeout,
-        tracer=tr,
-        live=lv,
-        backend=bk,
+    res = _launch(
+        _rank_program, nranks, cfg, views,
+        n0=n, seed_membership=seed, active_seed=act,
+        timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
     return _assemble_result(
         res,
@@ -1719,7 +1713,6 @@ def external_infomap(
     config: InfomapConfig | None = None,
     *,
     machine: MachineModel | None = None,
-    copy_mode: str = "frames",
     timeout: float = 600.0,
     tracer: Any = None,
     live: Any = None,
@@ -1748,24 +1741,11 @@ def external_infomap(
     from ..partition.shard import plan_shards  # lazy: import cycle
 
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    lv = live if live is not None else cfg.live
-    bk = backend if backend is not None else cfg.backend
     plan = plan_shards(store_dir, nranks)
-
-    ship_cfg = (
-        cfg.with_(tracer=None, live=None)
-        if (cfg.tracer is not None or cfg.live is not None) else cfg
-    )
-    res = run_spmd(
-        _rank_program_shard,
-        nranks,
-        fn_args=(str(store_dir), plan, ship_cfg, plan.num_vertices),
-        copy_mode=copy_mode,
-        timeout=timeout,
-        tracer=tr,
-        live=lv,
-        backend=bk,
+    res = _launch(
+        _rank_program_shard, nranks, cfg, str(store_dir), plan,
+        n0=plan.num_vertices,
+        timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
     return _assemble_result(
         res,
@@ -1842,10 +1822,6 @@ class DistributedInfomap:
         nranks: simulated MPI ranks.
         config: algorithm knobs (see :class:`InfomapConfig`).
         machine: machine model for the modeled-time accounting.
-        copy_mode: payload isolation mode of the runtime.
-            ``"frames"`` (default) ships numpy columns as typed raw
-            frames — no pickle on the hot path; ``"pickle"`` is the
-            equivalence oracle (identical decoded values, slower).
         backend: SPMD execution backend — ``"threads"``, ``"procs"``
             (process-per-rank, shared-memory transport) or ``"serial"``;
             ``None`` defers to ``config.backend``.
@@ -1857,7 +1833,6 @@ class DistributedInfomap:
         config: InfomapConfig | None = None,
         *,
         machine: MachineModel | None = None,
-        copy_mode: str = "frames",
         timeout: float = 600.0,
         tracer: Any = None,
         backend: str | None = None,
@@ -1867,7 +1842,6 @@ class DistributedInfomap:
         self.nranks = nranks
         self.config = config or InfomapConfig()
         self.machine = machine
-        self.copy_mode = copy_mode
         self.timeout = timeout
         self.tracer = tracer
         self.backend = backend
@@ -1878,7 +1852,6 @@ class DistributedInfomap:
             self.nranks,
             self.config,
             machine=self.machine,
-            copy_mode=self.copy_mode,
             timeout=self.timeout,
             tracer=self.tracer,
             backend=self.backend,

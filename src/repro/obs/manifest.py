@@ -72,7 +72,6 @@ def build_manifest(
     *,
     config: Any = None,
     nranks: "int | None" = None,
-    copy_mode: "str | None" = None,
     graph: Any = None,
     method: "str | None" = None,
     extra: "dict[str, Any] | None" = None,
@@ -93,8 +92,6 @@ def build_manifest(
         manifest["method"] = method
     if nranks is not None:
         manifest["nranks"] = nranks
-    if copy_mode is not None:
-        manifest["copy_mode"] = copy_mode
     if config is not None:
         cfg = config_dict(config)
         manifest["config"] = cfg

@@ -133,7 +133,6 @@ def run_spmd(
     *,
     fn_args: Sequence[Any] = (),
     fn_kwargs: dict[str, Any] | None = None,
-    copy_mode: str = "frames",
     timeout: float = 300.0,
     op_timeout: float = 60.0,
     tracer: Any = None,
@@ -156,13 +155,6 @@ def run_spmd(
             parallelism, identical semantics and ledger accounting;
             ``"serial"`` demands the single-rank in-process path and
             rejects ``nranks > 1``.
-        copy_mode: ``"frames"`` (default) encodes every payload with
-            the typed frame codec (:mod:`repro.simmpi.wire`) — numpy
-            columns cross as raw aligned blobs, one copy out, zero
-            copies in; ``"pickle"`` round-trips through pickle (the
-            equivalence oracle, decoded values are identical);
-            ``"none"`` passes references (fast, trusted code only).
-            All three give exact wire-byte accounting.
         timeout: overall wall-clock budget for the job; exceeded ⇒
             :class:`DeadlockError` after tearing the ranks down.
         op_timeout: per-blocking-call budget inside ranks.
@@ -209,7 +201,7 @@ def run_spmd(
         )
 
     if nranks == 1:
-        comm = SerialCommunicator(copy_mode=copy_mode)
+        comm = SerialCommunicator()
         if tracing:
             comm.stats.trace = tracer.for_rank(0)
         if live is not None:
@@ -238,16 +230,14 @@ def run_spmd(
             )
         return run_spmd_procs(
             fn, nranks,
-            fn_args=fn_args, fn_kwargs=kwargs, copy_mode=copy_mode,
-            timeout=timeout, op_timeout=op_timeout, tracer=tracer,
-            live=live,
+            fn_args=fn_args, fn_kwargs=kwargs, timeout=timeout,
+            op_timeout=op_timeout, tracer=tracer, live=live,
         )
 
     log.debug(
-        "launching SPMD job: nranks=%d copy_mode=%s tracing=%s",
-        nranks, copy_mode, tracing,
+        "launching SPMD job: nranks=%d tracing=%s", nranks, tracing
     )
-    ctx = JobContext(nranks, copy_mode=copy_mode, op_timeout=op_timeout)
+    ctx = JobContext(nranks, op_timeout=op_timeout)
     outcomes = [_RankOutcome() for _ in range(nranks)]
 
     def worker(rank: int) -> None:

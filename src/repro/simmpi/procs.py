@@ -109,14 +109,12 @@ class _JobState:
         size: int,
         rings: "list[ShmRing]",
         ctrl: ShmControl,
-        copy_mode: str,
         op_timeout: float,
         live: Any = None,
     ) -> None:
         self.size = size
         self.rings = rings
         self.ctrl = ctrl
-        self.copy_mode = copy_mode
         self.op_timeout = op_timeout
         # A shared LivePlane (or None).  Crosses the boundary by
         # segment name (LivePlane.__getstate__) under spawn, or by
@@ -164,9 +162,7 @@ class ProcCommunicator(CollectiveOpsMixin, Communicator):
 
     # -- mixin hooks ------------------------------------------------------
     def _encode(self, obj: Any) -> tuple[Any, int]:
-        parts, nbytes = encode_payload_parts(
-            obj, self._state.copy_mode, self._stats
-        )
+        parts, nbytes = encode_payload_parts(obj, self._stats)
         # Collectives relay the joined wire inside a control frame; the
         # parts-level fast path matters only for direct ring puts.
         return b"".join(
@@ -174,7 +170,7 @@ class ProcCommunicator(CollectiveOpsMixin, Communicator):
         ), nbytes
 
     def _decode(self, wire: Any) -> Any:
-        return decode_payload(wire, self._state.copy_mode, self._stats)
+        return decode_payload(wire, self._stats)
 
     def _check_abort(self) -> None:
         ctrl = self._state.ctrl
@@ -278,9 +274,7 @@ class ProcCommunicator(CollectiveOpsMixin, Communicator):
         self._check_abort()
         self._check_peer(dest)
         self._check_tag(tag, allow_any=False)
-        parts, nbytes = encode_payload_parts(
-            obj, self._state.copy_mode, self._stats
-        )
+        parts, nbytes = encode_payload_parts(obj, self._stats)
         self._stats.record_send(nbytes)
         self._put(dest, tag, parts, nbytes)
 
@@ -488,7 +482,6 @@ def run_spmd_procs(
     *,
     fn_args: Sequence[Any] = (),
     fn_kwargs: "dict[str, Any] | None" = None,
-    copy_mode: str = "frames",
     timeout: float = 300.0,
     op_timeout: float = 60.0,
     tracer: Any = None,
@@ -503,31 +496,18 @@ def run_spmd_procs(
     taxonomy — with two process-specific extras: *segment_bytes* (ring
     capacity per rank; frames that don't fit spill to one-shot
     segments) and *start_method* (default: fork where available).
-
-    ``copy_mode="none"`` is rejected: reference-passing cannot cross an
-    address space, and silently falling back would break the mode's
-    "zero copies" contract.
     """
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
-    if copy_mode == "none":
-        raise ValueError(
-            'copy_mode="none" shares object references and cannot cross '
-            'process boundaries; use the "threads" backend for it'
-        )
-    if copy_mode not in ("frames", "pickle"):
-        raise ValueError(
-            f"copy_mode must be 'frames' or 'pickle', got {copy_mode!r}"
-        )
     kwargs = fn_kwargs or {}
     tracing = tracer is not None and getattr(tracer, "enabled", False)
     epoch = getattr(tracer, "epoch", 0.0) if tracing else 0.0
 
     mp_ctx = _pick_context(start_method)
     log.debug(
-        "launching SPMD proc job: nranks=%d copy_mode=%s tracing=%s "
-        "start_method=%s segment=%d",
-        nranks, copy_mode, tracing, mp_ctx.get_start_method(), segment_bytes,
+        "launching SPMD proc job: nranks=%d tracing=%s start_method=%s "
+        "segment=%d",
+        nranks, tracing, mp_ctx.get_start_method(), segment_bytes,
     )
 
     ctrl = ShmControl(mp_ctx)
@@ -549,9 +529,7 @@ def run_spmd_procs(
     try:
         for _ in range(nranks):
             rings.append(ShmRing(segment_bytes, ctx=mp_ctx))
-        state = _JobState(
-            nranks, rings, ctrl, copy_mode, op_timeout, live=live
-        )
+        state = _JobState(nranks, rings, ctrl, op_timeout, live=live)
         for r in range(nranks):
             p = mp_ctx.Process(
                 target=_spmd_proc_main,

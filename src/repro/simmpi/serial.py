@@ -28,20 +28,9 @@ __all__ = ["SerialCommunicator"]
 class SerialCommunicator(Communicator):
     """A communicator with ``size == 1`` and ``rank == 0``."""
 
-    def __init__(
-        self,
-        ledger: CommLedger | None = None,
-        *,
-        copy_mode: str = "frames",
-    ) -> None:
-        if copy_mode not in ("frames", "pickle", "none"):
-            raise ValueError(
-                "copy_mode must be 'frames', 'pickle' or 'none', "
-                f"got {copy_mode!r}"
-            )
+    def __init__(self, ledger: CommLedger | None = None) -> None:
         self._ledger = ledger if ledger is not None else CommLedger(1)
         self._stats = self._ledger.for_rank(0)
-        self._copy_mode = copy_mode
         self._loopback: deque[tuple[int, Any, int]] = deque()
 
     @property
@@ -69,7 +58,7 @@ class SerialCommunicator(Communicator):
             raise InvalidRankError(dest, 1)
         if tag < 0:
             raise InvalidTagError(tag)
-        wire, nbytes = encode_payload(obj, self._copy_mode, self._stats)
+        wire, nbytes = encode_payload(obj, self._stats)
         self._stats.record_send(nbytes)
         self._loopback.append((tag, wire, nbytes))
 
@@ -85,11 +74,7 @@ class SerialCommunicator(Communicator):
             if tag in (ANY_TAG, tg):
                 del self._loopback[i]
                 self._stats.record_recv(nbytes)
-                return (
-                    decode_payload(wire, self._copy_mode, self._stats),
-                    0,
-                    tg,
-                )
+                return decode_payload(wire, self._stats), 0, tg
         raise DeadlockError(
             f"recv(source={source}, tag={tag}) on a size-1 communicator "
             "with no matching loopback message would block forever"
@@ -105,9 +90,7 @@ class SerialCommunicator(Communicator):
             if tag in (ANY_TAG, tg):
                 del self._loopback[i]
                 self._stats.record_recv(nbytes)
-                return True, decode_payload(
-                    wire, self._copy_mode, self._stats
-                )
+                return True, decode_payload(wire, self._stats)
         return False, None
 
     # -- collectives ------------------------------------------------------

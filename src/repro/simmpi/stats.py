@@ -13,14 +13,11 @@ Two levels of bookkeeping:
   aggregation helpers used by the cost model and the reports.
 
 Two byte meters run side by side.  *Physical* wire bytes are the exact
-length of the encoded message the runtime actually passes between
-ranks — typed-frame bytes under ``copy_mode="frames"`` (the default),
-pickle bytes under ``copy_mode="pickle"``, and the structural
-:func:`payload_nbytes` estimate under ``copy_mode="none"`` (nothing is
-encoded there).  *Logical* bytes are the :func:`payload_nbytes`
-estimate in every mode, so frames-vs-pickle traffic comparisons are
-codec-independent by construction.  Codec wall time is metered
-separately (``encode_seconds_by_phase`` / ``decode_seconds_by_phase``).
+length of the typed frame (:mod:`repro.simmpi.wire`) the runtime
+actually passes between ranks.  *Logical* bytes are the structural
+:func:`payload_nbytes` estimate of the same payload, which does not
+depend on the frame layout.  Codec wall time is metered separately
+(``encode_seconds_by_phase`` / ``decode_seconds_by_phase``).
 """
 
 from __future__ import annotations
@@ -180,11 +177,10 @@ class RankStats:
     def record_logical(self, nbytes: int) -> None:
         """Meter the transport-independent (logical) payload size.
 
-        Physical wire bytes depend on the codec (pickle framing vs the
-        typed-frame header); the logical size is the structural
-        :func:`payload_nbytes` estimate and is identical across copy
-        modes by construction, which is what makes frames-vs-pickle
-        traffic comparisons exact.
+        Physical wire bytes include the typed-frame header and
+        alignment padding; the logical size is the structural
+        :func:`payload_nbytes` estimate, so it is identical across
+        backends and transports by construction.
         """
         self.logical_bytes_by_phase[self._phase] += nbytes
 

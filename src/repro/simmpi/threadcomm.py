@@ -1,12 +1,11 @@
 """Thread-backed communicator: one OS thread per rank, shared-nothing payloads.
 
 Distributed-memory isolation is what makes the simulation faithful: a
-payload is encoded at the sender and decoded at each receiver (typed
-frames by default, pickle as the equivalence oracle — see
-:mod:`repro.simmpi.wire`), so ranks can never observe each other's
-mutations — exactly the property a real MPI job has, and the property
-that flushes out "accidentally worked because memory was shared" bugs
-in the algorithm.
+payload is encoded as a typed frame at the sender and decoded at each
+receiver (see :mod:`repro.simmpi.wire`), so ranks can never observe
+each other's mutations — exactly the property a real MPI job has, and
+the property that flushes out "accidentally worked because memory was
+shared" bugs in the algorithm.
 
 Blocking receives are notify-driven: :meth:`Mailbox.put` and
 :meth:`JobContext.abort` both ``notify_all`` the mailbox condition, so
@@ -116,22 +115,10 @@ class JobContext:
     collective can safely overwrite the slots.
     """
 
-    def __init__(
-        self,
-        size: int,
-        *,
-        copy_mode: str = "frames",
-        op_timeout: float = 60.0,
-    ) -> None:
+    def __init__(self, size: int, *, op_timeout: float = 60.0) -> None:
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
-        if copy_mode not in ("frames", "pickle", "none"):
-            raise ValueError(
-                "copy_mode must be 'frames', 'pickle' or 'none', "
-                f"got {copy_mode!r}"
-            )
         self.size = size
-        self.copy_mode = copy_mode
         self.op_timeout = op_timeout
         self.ledger = CommLedger(size)
         self.mailboxes = [Mailbox(self) for _ in range(size)]
@@ -180,18 +167,6 @@ class JobContext:
             raise err from None
         self.check_abort()
 
-    # -- payload isolation -----------------------------------------------------
-    def encode(self, obj: Any, stats: RankStats | None = None) -> tuple[Any, int]:
-        """Prepare *obj* for crossing a rank boundary; return (wire, nbytes).
-
-        With *stats*, the codec wall time and the logical payload size
-        are metered into the caller's current phase.
-        """
-        return encode_payload(obj, self.copy_mode, stats)
-
-    def decode(self, wire: Any, stats: RankStats | None = None) -> Any:
-        return decode_payload(wire, self.copy_mode, stats)
-
 
 class ThreadCommunicator(CollectiveOpsMixin, Communicator):
     """One rank's endpoint into a :class:`JobContext`.
@@ -227,10 +202,10 @@ class ThreadCommunicator(CollectiveOpsMixin, Communicator):
 
     # -- mixin hooks ---------------------------------------------------------------
     def _encode(self, obj: Any) -> tuple[Any, int]:
-        return self._ctx.encode(obj, self._stats)
+        return encode_payload(obj, self._stats)
 
     def _decode(self, wire: Any) -> Any:
-        return self._ctx.decode(wire, self._stats)
+        return decode_payload(wire, self._stats)
 
     def _check_abort(self) -> None:
         self._ctx.check_abort()
@@ -240,7 +215,7 @@ class ThreadCommunicator(CollectiveOpsMixin, Communicator):
         self._ctx.check_abort()
         self._check_peer(dest)
         self._check_tag(tag, allow_any=False)
-        wire, nbytes = self._ctx.encode(obj, self._stats)
+        wire, nbytes = encode_payload(obj, self._stats)
         self._stats.record_send(nbytes)
         self._ctx.mailboxes[dest].put(self._rank, tag, (wire, nbytes))
 
@@ -257,7 +232,7 @@ class ThreadCommunicator(CollectiveOpsMixin, Communicator):
             source, tag, timeout=self._ctx.op_timeout
         )
         self._stats.record_recv(nbytes)
-        return self._ctx.decode(wire, self._stats), src, tg
+        return decode_payload(wire, self._stats), src, tg
 
     def try_recv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
@@ -274,7 +249,7 @@ class ThreadCommunicator(CollectiveOpsMixin, Communicator):
                 return False, None
             _seq, (wire, nbytes) = mb._queues[key].popleft()
         self._stats.record_recv(nbytes)
-        return True, self._ctx.decode(wire, self._stats)
+        return True, decode_payload(wire, self._stats)
 
     # -- nonblocking transport hooks (unmetered; see CollectiveOpsMixin) ---------
     def _nb_post(self, dest: int, tag: int, wire: Any, nbytes: int) -> None:

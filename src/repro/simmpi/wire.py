@@ -35,15 +35,14 @@ Tokens (1-byte tag, then operands)::
 
 Anything the typed tags cannot express exactly — numpy scalars, sets,
 object arrays, custom classes, ints beyond 64 bits — is embedded as a
-pickle token, so the codec is total: every payload the pickle transport
-accepts round-trips through frames with identical decoded values
-(bitwise for float columns; both paths ship the same IEEE bytes).
+pickle token, so the codec is total: every picklable payload
+round-trips with an equal decoded value (bitwise for float columns).
 
-:func:`encode_payload` / :func:`decode_payload` are the shared seam the
-communicators use: they select the codec from ``copy_mode`` and meter
-physical wire bytes, logical payload bytes (the transport-independent
-:func:`~repro.simmpi.stats.payload_nbytes` estimate, identical across
-copy modes by construction), and encode/decode seconds into a
+:func:`encode_payload` / :func:`decode_payload` are the one seam every
+communicator sends through: a message crosses a rank boundary only as
+a frame.  They meter physical wire bytes, logical payload bytes (the
+transport-independent :func:`~repro.simmpi.stats.payload_nbytes`
+estimate), and encode/decode seconds into a
 :class:`~repro.simmpi.stats.RankStats` when one is given.
 """
 
@@ -312,79 +311,45 @@ def decode_frame(buf):
     return value
 
 
-def encode_payload(obj, copy_mode: str, stats=None):
-    """Encode *obj* per *copy_mode*; return ``(wire, physical_nbytes)``.
+def encode_payload(obj, stats=None):
+    """Encode *obj* as a typed frame; return ``(wire, physical_nbytes)``.
 
     When *stats* is given, also meters the logical payload size (the
-    copy-mode-independent estimate) and the encode wall time into the
-    current phase.  ``copy_mode="none"`` shares the object reference
-    (zero bytes moved, logical size still metered for comparability).
+    transport-independent estimate) and the encode wall time into the
+    current phase.
     """
-    if copy_mode == "none":
-        nbytes = payload_nbytes(obj)
-        if stats is not None:
-            stats.record_logical(nbytes)
-        return obj, nbytes
     if stats is None:
-        if copy_mode == "frames":
-            wire = encode_frame(obj)
-        else:
-            wire = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        wire = encode_frame(obj)
         return wire, len(wire)
     t0 = perf_counter()
-    if copy_mode == "frames":
-        wire = encode_frame(obj)
-    else:
-        wire = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    wire = encode_frame(obj)
     stats.record_encode_seconds(perf_counter() - t0)
     stats.record_logical(payload_nbytes(obj))
     return wire, len(wire)
 
 
-def encode_payload_parts(obj, copy_mode: str, stats=None):
+def encode_payload_parts(obj, stats=None):
     """Like :func:`encode_payload` but returns ``(parts, physical_nbytes)``.
 
     The parts list concatenates to exactly what :func:`encode_payload`
-    would return for the same *copy_mode*, and the metering (logical
-    bytes, encode seconds) is identical — the two entry points are
-    interchangeable from the ledger's point of view.  ``copy_mode="none"``
-    has no wire representation (it shares references), so it is
-    rejected here: a buffer-writing transport cannot ship a reference.
+    returns, and the metering (logical bytes, encode seconds) is
+    identical — the two entry points are interchangeable from the
+    ledger's point of view.
     """
-    if copy_mode == "none":
-        raise ValueError(
-            "copy_mode='none' shares object references and has no wire "
-            "representation; use encode_payload with an in-process "
-            "transport instead"
-        )
     if stats is None:
-        if copy_mode == "frames":
-            return encode_frame_parts(obj)
-        wire = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-        return [wire], len(wire)
+        return encode_frame_parts(obj)
     t0 = perf_counter()
-    if copy_mode == "frames":
-        parts, total = encode_frame_parts(obj)
-    else:
-        wire = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-        parts, total = [wire], len(wire)
+    parts, total = encode_frame_parts(obj)
     stats.record_encode_seconds(perf_counter() - t0)
     stats.record_logical(payload_nbytes(obj))
     return parts, total
 
 
-def decode_payload(wire, copy_mode: str, stats=None):
-    """Inverse of :func:`encode_payload` (shares under ``"none"``)."""
-    if copy_mode == "none":
-        return wire
+def decode_payload(wire, stats=None):
+    """Inverse of :func:`encode_payload`."""
     if stats is None:
-        if copy_mode == "frames":
-            return decode_frame(wire)
-        return pickle.loads(wire)
+        return decode_frame(wire)
     t0 = perf_counter()
-    if copy_mode == "frames":
-        obj = decode_frame(wire)
-    else:
-        obj = pickle.loads(wire)
+    obj = decode_frame(wire)
     stats.record_decode_seconds(perf_counter() - t0)
     return obj

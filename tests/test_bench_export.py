@@ -83,10 +83,7 @@ def test_merge_bench_reports(tmp_path):
         json.dumps({"rows": [{"speedup": 3.5}]})
     )
     (tmp_path / "BENCH_wire.json").write_text(
-        json.dumps({"rows": [
-            {"copy_mode": "pickle"},
-            {"copy_mode": "frames", "speedup": 2.8},
-        ]})
+        json.dumps({"rows": [{"codec": "frames", "rounds_per_s": 141.9}]})
     )
     (tmp_path / "BENCH_obs.json").write_text(
         json.dumps({"rows": [
@@ -146,7 +143,7 @@ def test_merge_bench_reports(tmp_path):
     assert report["benchmarks"]["ingest"]["rows"][1]["rss_budget_ratio"] \
         == 0.6
     assert report["benchmarks"]["swap"]["rows"][0]["speedup"] == 3.5
-    assert report["benchmarks"]["wire"]["rows"][1]["speedup"] == 2.8
+    assert report["benchmarks"]["wire"]["rows"][0]["rounds_per_s"] == 141.9
     assert report["benchmarks"]["obs"]["rows"][1]["overhead"] == 1.05
     assert report["benchmarks"]["procs"]["rows"][1]["speedup"] == 1.9
     assert (

@@ -246,8 +246,7 @@ def test_config_live_field_excluded_from_manifest():
     from repro.obs.manifest import build_manifest
 
     cfg = InfomapConfig(seed=1, live=LivePlane(1))
-    man = build_manifest(config=cfg, nranks=1, copy_mode="none",
-                        method="sequential")
+    man = build_manifest(config=cfg, nranks=1, method="sequential")
     assert "live" not in man["config"]
     assert "tracer" not in man["config"]
 

@@ -253,7 +253,7 @@ class TestRunArtifact:
         tracer = Tracer()
         result = distributed_infomap(lg.graph, 4, cfg, tracer=tracer)
         manifest = build_manifest(
-            config=cfg, nranks=4, copy_mode="frames", graph=lg.graph,
+            config=cfg, nranks=4, graph=lg.graph,
             method="distributed",
         )
         return build_run_artifact(tracer, result, manifest=manifest), result
@@ -350,7 +350,7 @@ class TestManifest:
         lg = ring_of_cliques(3, 4)
         cfg = InfomapConfig(seed=2)
         m = build_manifest(
-            config=cfg, nranks=8, copy_mode="frames", graph=lg.graph,
+            config=cfg, nranks=8, graph=lg.graph,
             method="distributed",
         )
         assert m["nranks"] == 8 and m["method"] == "distributed"

@@ -210,12 +210,9 @@ def _mixed_program(comm):
     }
 
 
-@pytest.mark.parametrize("copy_mode", ["frames", "pickle"])
-def test_procs_matches_threads_results_and_ledger(copy_mode):
-    res_t = run_spmd(_mixed_program, NRANKS, copy_mode=copy_mode,
-                     backend="threads")
-    res_p = run_spmd(_mixed_program, NRANKS, copy_mode=copy_mode,
-                     backend="procs")
+def test_procs_matches_threads_results_and_ledger():
+    res_t = run_spmd(_mixed_program, NRANKS, backend="threads")
+    res_p = run_spmd(_mixed_program, NRANKS, backend="procs")
     assert res_t.results == res_p.results
     for st, sp in zip(res_t.ledger.snapshot(), res_p.ledger.snapshot()):
         # Every counter matches — not just the logical per-phase totals
@@ -293,11 +290,6 @@ def test_single_rank_short_circuits(backend):
     # backend — the serial communicator runs on the calling thread.
     res = run_spmd(lambda c: os.getpid(), 1, backend=backend)
     assert res.results == [os.getpid()]
-
-
-def test_procs_rejects_copy_mode_none():
-    with pytest.raises(ValueError, match="none"):
-        run_spmd_procs(lambda c: c.rank, 2, copy_mode="none")
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,7 @@ def run_load_shard(store, plan, chunk_entries=None):
         lg, stats = load_shard(comm, d, plan, **kw)
         return lg, stats
 
-    return run_spmd(prog, plan.nranks, fn_args=(store, plan),
-                    copy_mode="none").results
+    return run_spmd(prog, plan.nranks, fn_args=(store, plan)).results
 
 
 class TestShardPlan:
@@ -141,7 +140,7 @@ class TestLoadShardBitwise:
             return load_shard(comm, d, plan)
 
         with pytest.raises(ValueError, match="plan is for 3 ranks"):
-            run_spmd(prog, 2, fn_args=(store, plan), copy_mode="none")
+            run_spmd(prog, 2, fn_args=(store, plan))
 
 
 class TestExternalInfomap:
@@ -153,8 +152,7 @@ class TestExternalInfomap:
         cfg = InfomapConfig(seed=3)
         views = reference_views(g, nranks)
         ref = run_spmd(_rank_program, nranks,
-                       fn_args=(views, cfg, g.num_vertices),
-                       copy_mode="frames")
+                       fn_args=(views, cfg, g.num_vertices))
         out = external_infomap(tmp_path / "s", nranks, cfg)
         m_ref = np.full(g.num_vertices, -1, np.int64)
         for rr in ref.results:

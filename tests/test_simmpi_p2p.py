@@ -87,7 +87,7 @@ def test_sendrecv_exchanges_between_pairs():
 
 
 def test_payloads_are_isolated_between_ranks():
-    """pickle copy_mode must prevent shared mutable state."""
+    """Frame-encoded payloads share no mutable state across ranks."""
 
     def prog(comm):
         data = [0, 0]

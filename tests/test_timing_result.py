@@ -153,25 +153,6 @@ class TestClusteringResult:
 
 
 class TestEngineCorners:
-    def test_copy_mode_none_shares_objects(self):
-        marker = object()
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(marker, 1)
-                comm.barrier()
-                return None
-            got = comm.recv(source=0)
-            comm.barrier()
-            return got is marker
-
-        res = run_spmd(prog, 2, copy_mode="none")
-        assert res.results[1] is True
-
-    def test_invalid_copy_mode(self):
-        with pytest.raises(ValueError):
-            run_spmd(lambda c: None, 2, copy_mode="magic")
-
     def test_invalid_nranks(self):
         with pytest.raises(ValueError):
             run_spmd(lambda c: None, 0)

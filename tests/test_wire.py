@@ -9,8 +9,8 @@ Three contracts:
   the dense alltoall oracle delivers, in ascending source order, while
   sending one point-to-point message per *actual* destination instead
   of ``p - 1``.
-* The metering seam: physical bytes are the encoded wire length of the
-  active codec, logical bytes are codec-independent.
+* The metering seam: physical bytes are the encoded frame length,
+  logical bytes are the structural :func:`payload_nbytes` estimate.
 """
 
 import numpy as np
@@ -201,25 +201,9 @@ class TestPayloadSeam:
 
     def test_frames_mode_round_trip_and_size(self):
         obj = (np.arange(10), "tag")
-        wire, nbytes = encode_payload(obj, "frames")
+        wire, nbytes = encode_payload(obj)
         assert nbytes == len(wire) == len(encode_frame(obj))
-        _assert_value_equal(decode_payload(wire, "frames"), obj)
-
-    def test_pickle_mode_round_trip(self):
-        import pickle
-
-        obj = [np.arange(4), {"x": 1}]
-        wire, nbytes = encode_payload(obj, "pickle")
-        assert nbytes == len(wire)
-        assert pickle.loads(wire)[1] == {"x": 1}
-        _assert_value_equal(decode_payload(wire, "pickle"), obj)
-
-    def test_none_mode_shares_reference(self):
-        obj = [1, 2, 3]
-        wire, nbytes = encode_payload(obj, "none")
-        assert wire is obj
-        assert nbytes == payload_nbytes(obj)
-        assert decode_payload(wire, "none") is obj
+        _assert_value_equal(decode_payload(wire), obj)
 
 
 def _random_sparse_schedule(rng, size, rounds):
@@ -341,7 +325,8 @@ class TestSparseExchange:
 
 
 class TestMeterAcrossModes:
-    """Physical bytes follow the codec; logical bytes do not."""
+    """Meters over p2p and collective traffic: physical bytes are the
+    frame length, logical bytes the structural estimate."""
 
     @staticmethod
     def _prog(comm):
@@ -354,43 +339,16 @@ class TestMeterAcrossModes:
         comm.allgather(np.arange(100, dtype=np.int64))
         return None
 
-    def test_logical_bytes_equal_frames_vs_pickle(self):
-        snapshots = {}
-        for mode in ("frames", "pickle", "none"):
-            res = run_spmd(self._prog, 2, copy_mode=mode)
-            snapshots[mode] = [
-                dict(res.ledger.for_rank(r).logical_bytes_by_phase)
-                for r in range(2)
-            ]
-        assert snapshots["frames"] == snapshots["pickle"]
-        assert snapshots["frames"] == snapshots["none"]
-
     def test_physical_bytes_track_codec(self):
-        import pickle
-
         payload = (np.arange(500, dtype=np.float64), [1, 2, 3], "tail")
-        sizes = {}
-        for mode in ("frames", "pickle"):
-            res = run_spmd(self._prog, 2, copy_mode=mode)
-            sizes[mode] = res.ledger.for_rank(0).bytes_by_phase["p2p"]
-        assert sizes["frames"] == len(encode_frame(payload))
-        assert sizes["pickle"] == len(
-            pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        )
-        # The typed frame beats pickle on this array-heavy payload.
-        assert sizes["frames"] <= sizes["pickle"]
+        res = run_spmd(self._prog, 2)
+        stats = res.ledger.for_rank(0)
+        assert stats.bytes_by_phase["p2p"] == len(encode_frame(payload))
+        assert stats.logical_bytes_by_phase["p2p"] == payload_nbytes(payload)
 
     def test_serialization_seconds_metered(self):
-        for mode in ("frames", "pickle"):
-            res = run_spmd(self._prog, 2, copy_mode=mode)
-            stats = res.ledger.for_rank(0)
-            assert stats.total_encode_seconds > 0.0
-            assert stats.total_decode_seconds > 0.0
-            assert res.ledger.max_serialization_seconds > 0.0
-
-    def test_copy_mode_none_meters_logical_only(self):
-        res = run_spmd(self._prog, 2, copy_mode="none")
+        res = run_spmd(self._prog, 2)
         stats = res.ledger.for_rank(0)
-        assert stats.total_logical_bytes > 0
-        assert stats.total_encode_seconds == 0.0
-        assert stats.total_decode_seconds == 0.0
+        assert stats.total_encode_seconds > 0.0
+        assert stats.total_decode_seconds > 0.0
+        assert res.ledger.max_serialization_seconds > 0.0
