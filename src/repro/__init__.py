@@ -43,7 +43,6 @@ from .core import (
     distributed_infomap,
     external_infomap,
     sequential_infomap,
-    warm_distributed_infomap,
 )
 from .graph import (
     Graph,
@@ -116,7 +115,6 @@ __all__ = [
     "ring_of_cliques",
     "run_spmd",
     "sequential_infomap",
-    "warm_distributed_infomap",
     "write_delta_file",
     "write_edgelist",
 ]

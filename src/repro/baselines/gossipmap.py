@@ -22,17 +22,14 @@ quality.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.config import InfomapConfig
-from ..core.distributed import _rank_program
+from ..core.distributed import _assemble_result, _launch
 from ..core.flow import FlowNetwork
-from ..core.result import ClusteringResult, LevelRecord
+from ..core.result import ClusteringResult
 from ..graph.graph import Graph
 from ..partition.distgraph import local_views_1d
 from ..partition.oned import OneDPartition
 from ..simmpi.costmodel import MachineModel
-from ..simmpi.engine import run_spmd
 
 __all__ = ["gossipmap"]
 
@@ -74,52 +71,11 @@ def gossipmap(
 
     network = FlowNetwork.from_graph(graph)
     part = OneDPartition.round_robin(graph, nranks)
-    views = local_views_1d(network, part)
-
-    res = run_spmd(
-        _rank_program,
-        nranks,
-        fn_args=(views, cfg.with_(tracer=None), graph.num_vertices),
-        timeout=timeout,
-        backend=backend if backend is not None else cfg.backend,
+    res = _launch(
+        nranks, cfg, n0=graph.num_vertices,
+        views=local_views_1d(network, part),
+        timeout=timeout, tracer=None, live=None, backend=backend,
     )
-
-    membership = np.full(graph.num_vertices, -1, dtype=np.int64)
-    for out in res.results:
-        membership[out["vertices"]] = out["modules"]
-    if (membership < 0).any():
-        raise AssertionError("some vertices were not assigned by any rank")
-    membership = np.unique(membership, return_inverse=True)[1].astype(np.int64)
-
-    r0 = res.results[0]
-    phase_seconds: dict[str, float] = {}
-    phase_work: dict[str, float] = {}
-    for out in res.results:
-        for ph, s in out["timer"]["seconds"].items():
-            phase_seconds[ph] = max(phase_seconds.get(ph, 0.0), s)
-        for ph, wk in out["timer"]["work"].items():
-            phase_work[ph] = max(phase_work.get(ph, 0.0), wk)
-
-    from ..core.distributed import _modeled_time
-
-    mm = machine or MachineModel()
-    return ClusteringResult(
-        membership=membership,
-        codelength=float(r0["codelength"]),
-        levels=[LevelRecord(**rec) for rec in r0["records"]],
-        method="gossipmap",
-        converged=bool(r0["converged"]),
-        extras={
-            "nranks": nranks,
-            "codelength_history": r0["codelength_history"],
-            "phase_seconds_max": phase_seconds,
-            "phase_work_max": phase_work,
-            "comm_snapshot": res.ledger.snapshot(),
-            "total_comm_bytes": res.ledger.total_bytes,
-            "max_rank_comm_bytes": res.ledger.max_rank_bytes,
-            "modeled": _modeled_time(res, mm, nranks),
-            "stage1_rounds": r0["stage1_rounds"],
-            "entries_per_rank": [o["num_entries_stage1"] for o in res.results],
-            "ghosts_per_rank": [o["num_ghosts_stage1"] for o in res.results],
-        },
+    return _assemble_result(
+        res, graph.num_vertices, nranks, machine, method="gossipmap"
     )

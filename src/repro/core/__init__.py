@@ -11,7 +11,6 @@ from .distributed import (
     DistributedInfomap,
     distributed_infomap,
     external_infomap,
-    warm_distributed_infomap,
 )
 from .flow import FlowNetwork, pagerank_flow
 from .incremental import IncrementalSession, warm_seed_membership
@@ -101,6 +100,5 @@ __all__ = [
     "score_block_table",
     "score_vertex",
     "sequential_infomap",
-    "warm_distributed_infomap",
     "warm_seed_membership",
 ]

@@ -33,9 +33,10 @@ time for the scalability figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from ..partition.rebalance import maybe_rebalance
 from ..simmpi.comm import Communicator
 from ..simmpi.costmodel import MachineModel
 from ..simmpi.engine import run_spmd
+from ..simmpi.requests import Request
 from .config import InfomapConfig
 from .flow import FlowNetwork
 from .kernels import (
@@ -56,7 +58,7 @@ from .kernels import (
     drift_guard_bound,
     score_block_table,
 )
-from .mapequation import delta_from_values, plogp
+from .mapequation import plogp
 from .result import ClusteringResult, LevelRecord
 from .swap import Contribution, LocalModuleState
 from .timing import (
@@ -72,7 +74,6 @@ __all__ = [
     "DistributedInfomap",
     "distributed_infomap",
     "external_infomap",
-    "warm_distributed_infomap",
 ]
 
 log = get_logger("core.distributed")
@@ -258,16 +259,7 @@ _BATCH_STAY_SLACK = 1e-12
 _BATCH_MIN_ACTIVE = 32
 
 
-def _batched_local_sweep(
-    state: LocalModuleState,
-    cfg: InfomapConfig,
-    boundary_mods: "set[int]",
-    act: np.ndarray,
-    id_space: int,
-    touched: np.ndarray,
-    moved_local: "list[int]",
-    changed_mods: "set[int]",
-) -> tuple[int, int]:
+def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
     """Batched Find-Best-Module sweep over the active owned vertices.
 
     Full batch scoring: each chunk is scored in one vectorized shot
@@ -297,13 +289,16 @@ def _batched_local_sweep(
     via :func:`repro.core.kernels.aggregate_module_flows`, so a
     certified commit applies exactly the scalar update.
 
-    Returns ``(local_moves, work)``; ``touched`` is scratch (cleared
-    before returning).
+    Moves go through ``level.commit``; returns the edge-scan work.
+    ``level.batch_touched`` is scratch (cleared before returning).
     """
+    state = level.state
+    cfg = level.cfg
+    boundary_mods = level.bmods
+    touched = level.batch_touched
     lg = state.lg
     mi = cfg.min_improvement
     tie = cfg.tie_eps
-    moves = 0
     work = 0
     bs = cfg.batch_size
     use_minlabel = cfg.min_label and bool(boundary_mods)
@@ -334,7 +329,7 @@ def _batched_local_sweep(
         work += int(np.sum(lg.indptr[chunk + 1] - lg.indptr[chunk]))
         snap = state.table_arrays()
         agg, score = score_block_table(
-            state, snap, chunk, id_space=id_space,
+            state, snap, chunk, id_space=level.id_space,
             cand_mask_fn=minlabel_mask if use_minlabel else None,
             keep_candidates=True,
         )
@@ -357,6 +352,7 @@ def _batched_local_sweep(
                 )
             else:
                 affected = False
+            dec = None
             if not affected:
                 s_now = state.sum_exit_global
                 e = drift_guard_bound(
@@ -387,38 +383,24 @@ def _batched_local_sweep(
                         else:
                             certified = False  # gray zone: scalar decides
                     if certified:
-                        state.apply_local_move(
-                            li, tgt,
+                        dec = _Decision(
+                            local_idx=li, current=cur, target=tgt,
+                            delta=float(score.best_delta[i]),
                             p_u=float(agg.p_u[i]), x_u=float(agg.x_u[i]),
                             d_old=float(agg.d_old[i]), d_new=d_new,
                         )
-                        moves += 1
-                        moved_local.append(li)
-                        changed_mods.add(cur)
-                        changed_mods.add(tgt)
-                        touched[cur] = True
-                        touched[tgt] = True
-                        dirty.append(cur)
-                        dirty.append(tgt)
-                        continue
-            dec = _evaluate_move(state, li, cfg, boundary_mods)
-            if dec is not None:
-                state.apply_local_move(
-                    dec.local_idx, dec.target,
-                    p_u=dec.p_u, x_u=dec.x_u,
-                    d_old=dec.d_old, d_new=dec.d_new,
-                )
-                moves += 1
-                moved_local.append(li)
-                changed_mods.add(dec.current)
-                changed_mods.add(dec.target)
-                touched[dec.current] = True
-                touched[dec.target] = True
-                dirty.append(dec.current)
-                dirty.append(dec.target)
+            if dec is None:
+                dec = _evaluate_move(state, li, cfg, boundary_mods)
+                if dec is None:
+                    continue
+            level.commit(dec)
+            touched[dec.current] = True
+            touched[dec.target] = True
+            dirty.append(dec.current)
+            dirty.append(dec.target)
         if dirty:
             touched[np.asarray(dirty, dtype=np.int64)] = False
-    return moves, work
+    return work
 
 
 def _evaluate_move(
@@ -571,22 +553,621 @@ def _build_level_caches(
     )
 
 
-def _mark_neighbors(
-    C: SimpleNamespace,
-    lg: LocalGraph,
-    changed: np.ndarray,
-    active: np.ndarray,
-    hub_active: np.ndarray,
-) -> None:
-    if changed.size == 0:
-        return
-    lo = np.searchsorted(C.rev_targets, changed)
-    hi = np.searchsorted(C.rev_targets, changed + 1)
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        srcs = C.rev_sources[a:b]
-        active[srcs[srcs < lg.num_owned]] = True
-        hs = srcs[srcs >= lg.num_owned] - lg.num_owned
-        hub_active[hs] = True
+@dataclass(eq=False, kw_only=True)
+class _Level:
+    """What one clustering level keeps between the stages of its rounds.
+
+    :func:`_cluster_rounds` builds it, opens the module table with
+    :meth:`open_table`, then calls the stage methods once per round in
+    Algorithm 2's order.  The layout fields change only through
+    :meth:`relayout`.
+    """
+
+    # Inputs.
+    comm: Communicator
+    cfg: InfomapConfig
+    timer: PhaseTimer
+    node_term: float
+    rng: np.random.Generator
+    with_delegates: bool
+    id_space: int
+    # Layout.
+    lg: LocalGraph
+    state: LocalModuleState
+    active: np.ndarray
+    C: SimpleNamespace = field(init=False)
+    order: np.ndarray = field(init=False)
+    # Owned vertices some peer ghosts: their post-sweep memberships are
+    # exactly the membership-sync payload (see find_best_boundary).
+    boundary_mask: np.ndarray = field(init=False)
+    # Cross-round caches.  The per-peer (hub*id_space + module) keys and
+    # flows — each peer's last-shipped delegate contributions, kept
+    # key-sorted — are keyed by global ids, so they survive a migration.
+    hub_dirty: np.ndarray = field(init=False)
+    peer_keys: list[np.ndarray] = field(init=False)
+    peer_flows: list[np.ndarray] = field(init=False)
+    # Module-touched flags for the batched sweep (cleared by the sweep
+    # itself); None when the batched sweep is off.
+    batch_touched: "np.ndarray | None" = field(init=False)
+    # Results.
+    own: Contribution = field(init=False)
+    history: list[float] = field(init=False)
+    rounds: int = 0
+    total_moves: int = 0
+    rebalance_events: list[dict[str, Any]] = field(default_factory=list)
+    # Convergence and rebalance bookkeeping.
+    best_l: float = field(init=False)
+    stalled: int = 0
+    rebal_work_mark: float = field(init=False)
+    rebal_round_mark: int = 0
+    # Per-round scratch, reset by begin_round.
+    moved_local: list[int] = field(init=False)
+    changed_mods: set[int] = field(init=False)
+    moved_hubs: list[int] = field(init=False)
+    moved_hub_modules: set[int] = field(init=False)
+    bmods: set[int] = field(init=False)
+    frontier: int = field(init=False)
+    local_moves: int = field(init=False)
+    sweep_work: int = field(init=False)
+    swap_bytes0: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        p = self.comm.size
+        self.relayout()
+        self.hub_dirty = np.ones(self.lg.num_hubs, dtype=bool)
+        self.peer_keys = [np.empty(0, np.int64) for _ in range(p)]
+        self.peer_flows = [np.empty(0) for _ in range(p)]
+        cfg = self.cfg
+        use_batch = cfg.batch_size > 0 and cfg.move_rule == "map_equation"
+        self.batch_touched = (
+            np.zeros(self.id_space, dtype=bool) if use_batch else None
+        )
+
+    def relayout(self, outcome: Any = None) -> None:
+        """Derive the layout fields from ``lg`` and ``state``.
+
+        With a migration *outcome* (:mod:`repro.partition.rebalance`),
+        adopt it first.  Bystander ranks keep their objects but the
+        migration repairs ``boundary_local`` in place, so the boundary
+        mask is refreshed on every outcome, structural or not.
+        """
+        structural = outcome is None or outcome.structural
+        if outcome is not None:
+            self.own = outcome.own
+            if structural:
+                self.lg = outcome.lg
+                self.state = outcome.state
+                self.active = outcome.active
+        if structural:
+            self.order = np.arange(self.lg.num_owned)
+            self.C = _build_level_caches(self.lg, self.state, self.comm.size)
+        self.boundary_mask = np.zeros(self.lg.num_owned, dtype=bool)
+        self.boundary_mask[self.lg.boundary_local] = True
+
+    def open_table(self, *, warm: bool) -> None:
+        """Build the module table and the opening exit sum and codelength."""
+        comm, state, timer = self.comm, self.state, self.timer
+        with timer.phase(PHASE_OTHER):
+            own = state.contribution()
+            state.rebuild_table(own, [])
+            timer.add_work(PHASE_OTHER, self.lg.num_entries)
+        if warm and comm.size > 1:
+            # Warm start: the cold init's ghost-singleton table estimate
+            # is only exact when everyone starts as a singleton.  One
+            # full swap replaces the estimates with each owner's true
+            # module aggregates before any move is scored.
+            # ``prepare_swap`` does not touch the delta-swap caches, so
+            # the subsequent rounds' delta protocol is unaffected.
+            with timer.phase(PHASE_SWAP_BOUNDARY):
+                batches = state.prepare_swap(own, set())
+                recv0 = comm.exchange(batches)
+            with timer.phase(PHASE_OTHER):
+                state.rebuild_table(own, list(recv0.values()))
+        state.sum_exit_global = float(comm.allreduce(own.total_exit()))
+        self.own = own
+        self.history = [_exact_codelength(comm, own, self.node_term, timer)]
+        self.best_l = self.history[0]
+        self.rebal_work_mark = timer.work.get(PHASE_FIND_BEST, 0.0)
+
+    def summary(self, num_modules: int) -> dict[str, Any]:
+        """The level's :class:`LevelRecord` fields past its sizes."""
+        return {
+            "num_modules": int(num_modules),
+            "codelength_before": self.history[0],
+            "codelength_after": self.history[-1],
+            "sweeps": self.rounds,
+            "moves": self.total_moves,
+        }
+
+    # -- Find Best Module --------------------------------------------------
+
+    def begin_round(self, rounds: int) -> None:
+        """Open round *rounds*: trace context, sweep order, scratch."""
+        self.rounds = rounds
+        self.comm.trace.set_context(round=rounds)
+        self.swap_bytes0 = self.comm.stats.bytes_by_phase.get(
+            PHASE_SWAP_BOUNDARY, 0
+        )
+        if self.cfg.shuffle:
+            self.rng.shuffle(self.order)
+        self.moved_local = []
+        self.changed_mods = set()
+        self.moved_hubs = []
+        self.moved_hub_modules = set()
+        self.local_moves = 0
+        self.sweep_work = 0
+
+    def commit(self, dec: _Decision) -> None:
+        """Apply one owned-vertex move and note it for this round."""
+        self.state.apply_local_move(
+            dec.local_idx, dec.target,
+            p_u=dec.p_u, x_u=dec.x_u, d_old=dec.d_old, d_new=dec.d_new,
+        )
+        self.local_moves += 1
+        self.moved_local.append(dec.local_idx)
+        self.changed_mods.add(dec.current)
+        self.changed_mods.add(dec.target)
+
+    def _sweep(self, sub: np.ndarray) -> None:
+        """Score and commit one sub-sweep of owned vertices."""
+        if self.batch_touched is not None and sub.size >= _BATCH_MIN_ACTIVE:
+            self.sweep_work += _batched_local_sweep(self, sub)
+            return
+        indptr = self.lg.indptr
+        for li in sub.tolist():
+            self.sweep_work += int(indptr[li + 1] - indptr[li])
+            dec = _evaluate_move(self.state, li, self.cfg, self.bmods)
+            if dec is not None:
+                self.commit(dec)
+
+    def find_best_boundary(self) -> np.ndarray:
+        """Stage 1: sweep the active owned vertices some peer ghosts.
+
+        Committing them first lets the membership sync drain while the
+        (usually much larger) interior sweeps (§3.4 overlap).  Interior
+        and hub moves cannot touch ``module_of[boundary_local]``, so the
+        payload prepared right after this sub-sweep is bitwise-identical
+        to one prepared after the full sweep.
+        """
+        with self.timer.phase(PHASE_FIND_BEST):
+            self.bmods = (
+                self.state.boundary_modules() if self.cfg.min_label else set()
+            )
+            act = self.order[self.active[self.order]]
+            self.frontier = int(act.size)
+            in_bnd = self.boundary_mask[act]
+            self._sweep(act[in_bnd])
+            return act[~in_bnd]
+
+    def post_membership_sync(self) -> Request:
+        """Stage 2: post the Swap Boundary Information membership half.
+
+        Consumed by :meth:`wait_membership_sync` after the delegate
+        consensus.
+        """
+        with self.timer.phase(PHASE_SWAP_BOUNDARY):
+            if self.cfg.delta_swap:
+                memb = self.state.prepare_membership_sync_delta()
+            else:
+                memb = self.state.prepare_membership_sync()
+            return self._posted(self.comm.iexchange(memb))
+
+    def _posted(self, req: Request) -> Request:
+        """Both modes issue the identical request sequence;
+        ``overlap=False`` merely waits on each request as soon as it is
+        posted, serving as the blocking equivalence oracle."""
+        if not self.cfg.overlap:
+            req.wait()
+        return req
+
+    def find_best_interior(self, interior: np.ndarray) -> Request:
+        """Stage 3: sweep *interior*; post the local-move count sum."""
+        with self.timer.phase(PHASE_FIND_BEST):
+            self._sweep(interior)
+            self.timer.add_work(PHASE_FIND_BEST, self.sweep_work)
+        return self._posted(self.comm.iallreduce(self.local_moves))
+
+    # -- Broadcast Delegates -------------------------------------------------
+
+    def delegate_consensus(self) -> int:
+        """Stage 4: consensus moves for hubs; returns the hub moves.
+
+        Every rank proposes, the proposals are all-gathered and the
+        same winners are applied everywhere, so the count is identical
+        on every rank.
+        """
+        if not (self.with_delegates and self.lg.num_hubs):
+            return 0
+        if self.cfg.delegate_consensus == "aggregate":
+            proposals = self._propose_aggregate()
+        else:
+            proposals = self._propose_min_local()
+        return self._apply_hub_moves(self._pick_winners(proposals))
+
+    def _propose_min_local(self) -> dict[int, tuple[float, int]]:
+        """The paper's literal rule: each rank proposes the best move it
+        sees from its local subset of the hub's edges."""
+        lg = self.lg
+        proposals: dict[int, tuple[float, int]] = {}
+        with self.timer.phase(PHASE_FIND_BEST):
+            hwork = 0
+            for hi in range(lg.num_owned, lg.num_owned + lg.num_hubs):
+                hwork += int(lg.indptr[hi + 1] - lg.indptr[hi])
+                dec = _evaluate_move(self.state, hi, self.cfg, self.bmods)
+                if dec is not None:
+                    proposals[int(lg.global_of[hi])] = (dec.delta, dec.target)
+            self.timer.add_work(PHASE_FIND_BEST, hwork)
+        return proposals
+
+    def _propose_aggregate(self) -> dict[int, tuple[float, int]]:
+        """Score each home hub against its *global* adjacency.
+
+        Each rank's per-hub contribution only changes when some stored
+        target of that hub changed module, so only *dirty* hubs are
+        re-aggregated and routed to the hub's home rank, which caches
+        every peer's last contribution (``peer_keys``/``peer_flows``)
+        and re-merges just the refreshed hubs.  Consensus stays
+        consistent because moves are applied from the all-gathered
+        winner list, not from who happened to score.
+        """
+        comm = self.comm
+        C = self.C
+        id_space = self.id_space
+        with self.timer.phase(PHASE_FIND_BEST):
+            if not self.cfg.prune_inactive:
+                self.hub_dirty[:] = True
+            dmask = self.hub_dirty[C.hub_ord_per_entry]
+            if dmask.any():
+                dk = (
+                    C.hub_ord_per_entry[dmask] * np.int64(id_space)
+                    + self.state.module_of[C.hub_tgt_sorted[dmask]]
+                )
+                uk, inv = np.unique(dk, return_inverse=True)
+                kf = np.bincount(
+                    inv, weights=C.hub_flw_sorted[dmask], minlength=uk.size,
+                )
+                self.timer.add_work(PHASE_FIND_BEST, int(dmask.sum()))
+            else:
+                uk = np.empty(0, np.int64)
+                kf = np.empty(0)
+        with self.timer.phase(PHASE_BROADCAST_DELEGATES):
+            # Route each dirty hub's flow contribution to the hub's
+            # *home* rank only — the sole rank that will score it —
+            # instead of broadcasting everywhere.
+            upd_msgs: dict[int, Any] = {}
+            self_update = None
+            if uk.size:
+                key_home = C.hub_home_rank[(uk // id_space)]
+                for r in range(comm.size):
+                    sel = key_home == r
+                    if not sel.any():
+                        continue
+                    payload = (
+                        np.unique(uk[sel] // id_space), uk[sel], kf[sel]
+                    )
+                    if r == comm.rank:
+                        self_update = payload
+                    else:
+                        upd_msgs[r] = payload
+            updates = list(comm.exchange(upd_msgs).items())
+        if self_update is not None:
+            updates.append((comm.rank, self_update))
+        with self.timer.phase(PHASE_FIND_BEST):
+            return self._score_home_hubs(updates)
+
+    def _score_home_hubs(
+        self, updates: "list[tuple[int, Any]]"
+    ) -> dict[int, tuple[float, int]]:
+        """Merge routed hub flows into the peer caches and score the
+        home hubs whose inputs changed."""
+        lg = self.lg
+        state = self.state
+        id_space = self.id_space
+        peer_keys = self.peer_keys
+        peer_flows = self.peer_flows
+        rescore_mask = np.zeros(lg.num_hubs, dtype=bool)
+        for r, (uh, k2, f2) in updates:
+            if uh.size == 0:
+                continue
+            pk, pf = peer_keys[r], peer_flows[r]
+            if pk.size:
+                keep = ~np.isin(pk // id_space, uh)
+                nk = np.concatenate([pk[keep], k2])
+                nf = np.concatenate([pf[keep], f2])
+            else:
+                nk, nf = k2, f2
+            srt = np.argsort(nk, kind="stable")
+            peer_keys[r] = nk[srt]
+            peer_flows[r] = nf[srt]
+            rescore_mask[uh] = True
+        # Hubs whose own module's aggregates shifted also need
+        # re-scoring even if their adjacency is clean.
+        if self.changed_mods:
+            hub_mods_now = state.module_of[
+                lg.num_owned : lg.num_owned + lg.num_hubs
+            ]
+            cm = np.fromiter(
+                self.changed_mods, dtype=np.int64, count=len(self.changed_mods)
+            )
+            rescore_mask |= np.isin(hub_mods_now, cm)
+        # Only the hub's home rank scores it — every rank holds the same
+        # merged flows, so scoring is pure duplication; the winner still
+        # reaches everyone through the proposal allgather.
+        rescore_mask &= lg.hub_home
+        rescore_hubs = np.flatnonzero(rescore_mask)
+        proposals: dict[int, tuple[float, int]] = {}
+        if rescore_hubs.size == 0:
+            return proposals
+        sel_k: list[np.ndarray] = []
+        sel_f: list[np.ndarray] = []
+        for r in range(self.comm.size):
+            pk = peer_keys[r]
+            if pk.size == 0:
+                continue
+            m = np.isin(pk // id_space, rescore_hubs)
+            sel_k.append(pk[m])
+            sel_f.append(peer_flows[r][m])
+        if not sel_k:
+            return proposals
+        guk, ginv = np.unique(np.concatenate(sel_k), return_inverse=True)
+        gf = np.bincount(
+            ginv, weights=np.concatenate(sel_f), minlength=guk.size
+        )
+        ho_arr = (guk // id_space).astype(np.int64)
+        mod_arr = (guk % id_space).astype(np.int64)
+        bnd = np.searchsorted(ho_arr, np.arange(lg.num_hubs + 1))
+        for ho in rescore_hubs.tolist():
+            a, b = int(bnd[ho]), int(bnd[ho + 1])
+            if a == b:
+                continue
+            hi = lg.num_owned + ho
+            dec = _score_candidates(
+                state, self.cfg, self.bmods,
+                li=hi, current=int(state.module_of[hi]),
+                uniq=mod_arr[a:b], agg=gf[a:b],
+                p_u=float(lg.flow[hi]), x_u=float(lg.exit0[hi]),
+            )
+            if dec is not None:
+                proposals[int(lg.global_of[hi])] = (dec.delta, dec.target)
+        return proposals
+
+    def _pick_winners(
+        self, proposals: dict[int, tuple[float, int]]
+    ) -> dict[int, tuple[float, int]]:
+        """All-gather the proposals; the winner per hub is the
+        lexicographic min of ``(delta, target, rank)``."""
+        comm = self.comm
+        with self.timer.phase(PHASE_BROADCAST_DELEGATES):
+            # Ship the proposals as three typed columns through an
+            # allgatherv instead of one generic dict per rank.
+            n_props = len(proposals)
+            hub_col = np.fromiter(
+                proposals.keys(), dtype=np.int64, count=n_props
+            )
+            delta_col = np.fromiter(
+                (v[0] for v in proposals.values()),
+                dtype=np.float64, count=n_props,
+            )
+            target_col = np.fromiter(
+                (v[1] for v in proposals.values()),
+                dtype=np.int64, count=n_props,
+            )
+            (hubs_all, deltas_all, targets_all), _counts = (
+                comm.allgatherv((hub_col, delta_col, target_col))
+            )
+        with self.timer.phase(PHASE_OTHER):
+            # hubs_all is rank-major, so a strict-less fold keeps the
+            # lowest rank on ties, and the winners keep the first-
+            # encounter order: it drives the move loop, and move order
+            # feeds float accumulation in the module table.
+            winners: dict[int, tuple[float, int]] = {}
+            for h, d, t in zip(
+                hubs_all.tolist(), deltas_all.tolist(), targets_all.tolist()
+            ):
+                if h not in winners or (d, t) < winners[h]:
+                    winners[h] = (d, t)
+            return winners
+
+    def _apply_hub_moves(self, winners: dict[int, tuple[float, int]]) -> int:
+        hub_moves = 0
+        with self.timer.phase(PHASE_OTHER):
+            for hub, (_delta, target) in winners.items():
+                hi = self.C.hub_index[hub]
+                old = int(self.state.module_of[hi])
+                if old != target:
+                    self.state.module_of[hi] = target
+                    self.moved_hub_modules.add(target)
+                    self.changed_mods.add(old)
+                    self.changed_mods.add(target)
+                    self.moved_hubs.append(hi)
+                    hub_moves += 1
+        return hub_moves
+
+    # -- Swap Boundary Information -------------------------------------------
+
+    def wait_membership_sync(self, req: Request) -> list[int]:
+        """Stage 5: apply the peers' memberships; returns the ghosts
+        that changed module."""
+        with self.timer.phase(PHASE_SWAP_BOUNDARY):
+            recv = req.wait()
+            return self.state.apply_membership_sync(
+                list(recv.values()), self.C.ghost_index
+            )
+
+    def _mark_neighbors(self, changed: np.ndarray) -> None:
+        """Activate the stored in-neighbours (owned and hub) of *changed*."""
+        if changed.size == 0:
+            return
+        lg, C = self.lg, self.C
+        lo = np.searchsorted(C.rev_targets, changed)
+        hi = np.searchsorted(C.rev_targets, changed + 1)
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            srcs = C.rev_sources[a:b]
+            self.active[srcs[srcs < lg.num_owned]] = True
+            self.hub_dirty[srcs[srcs >= lg.num_owned] - lg.num_owned] = True
+
+    def refresh(self, changed_ghosts: list[int]) -> Request:
+        """Stage 6: this rank's contribution and next round's active set.
+
+        Returns the posted exit-total reduction: ``own`` is final for
+        the round here (the swap folds *peer* aggregates into the table;
+        it never touches ``own``), so the reduction can drain behind it.
+        """
+        lg = self.lg
+        with self.timer.phase(PHASE_OTHER):
+            self.own = self.state.contribution()
+            self.timer.add_work(PHASE_OTHER, lg.num_entries)
+            if self.cfg.prune_inactive:
+                # Next round only re-evaluates vertices whose decision
+                # inputs changed: stored in-neighbours of anything that
+                # moved (local, hub or ghost) plus members of modules
+                # whose aggregates changed.
+                self.active[:] = False
+                self.hub_dirty[:] = False
+                changed_idx = np.asarray(
+                    self.moved_local + self.moved_hubs + changed_ghosts,
+                    dtype=np.int64,
+                )
+                self._mark_neighbors(changed_idx)
+                if self.changed_mods:
+                    cm = np.fromiter(
+                        self.changed_mods, dtype=np.int64,
+                        count=len(self.changed_mods),
+                    )
+                    self.active |= np.isin(
+                        self.state.module_of[: lg.num_owned], cm
+                    )
+        return self._posted(self.comm.iallreduce(self.own.total_exit()))
+
+    def swap_modules(self) -> None:
+        """Stage 7: refresh the module table from the peers' aggregates.
+
+        Delta records (default), full ``Module_Info`` records, or — with
+        ``full_module_info=False`` — none: the table then holds only
+        this rank's own contribution.
+        """
+        cfg = self.cfg
+        state = self.state
+        own = self.own
+        if not cfg.full_module_info:
+            with self.timer.phase(PHASE_OTHER):
+                state.rebuild_table(own, [])
+            return
+        with self.timer.phase(PHASE_SWAP_BOUNDARY):
+            if cfg.delta_swap:
+                out = state.prepare_swap_delta(own, self.moved_hub_modules)
+            else:
+                out = state.prepare_swap(own, self.moved_hub_modules)
+            recv = self.comm.exchange(out)
+        with self.timer.phase(PHASE_OTHER):
+            if cfg.delta_swap:
+                state.apply_swap_delta(recv)
+                state.rebuild_table_from_caches(own)
+            else:
+                # exchange() yields ascending source order — the fold
+                # order the bitwise-deterministic rebuild depends on.
+                state.rebuild_table(own, list(recv.values()))
+
+    # -- Round bookkeeping ---------------------------------------------------
+
+    def record_round(
+        self, exit_req: Request, moves_req: Request, hub_moves: int
+    ) -> int:
+        """Stage 8: the round's global exit sum, codelength and move
+        count, published to the live plane and the trace.  Returns the
+        round's global move count."""
+        comm = self.comm
+        self.state.sum_exit_global = float(exit_req.wait())
+        self.history.append(
+            _exact_codelength(comm, self.own, self.node_term, self.timer)
+        )
+        codelength = float(self.history[-1])
+        moves = int(moves_req.wait()) + hub_moves
+        self.total_moves += moves
+        live = comm.live
+        if live.enabled:
+            # codelength and moves are allreduced, hence identical on
+            # every rank — the live "moves" counter is therefore the
+            # replicated *global* cumulative count, like codelength.
+            live.update(round=self.rounds, codelength=codelength)
+            live.add("moves", moves)
+        buf = comm.trace
+        if buf.enabled:
+            # One convergence sample per rank per round.  codelength and
+            # moves are globally consistent, so any rank's series is
+            # *the* series; boundary_bytes and frontier are per-rank and
+            # summed at export time.
+            swap_bytes = (
+                comm.stats.bytes_by_phase.get(PHASE_SWAP_BOUNDARY, 0)
+                - self.swap_bytes0
+            )
+            buf.instant(
+                "round",
+                args={
+                    "codelength": codelength,
+                    "moves": moves,
+                    "boundary_bytes": int(swap_bytes),
+                    "frontier": self.frontier,
+                },
+            )
+            buf.counter("codelength", codelength)
+            buf.counter("moves", float(moves))
+            buf.counter("frontier", float(self.frontier))
+        return moves
+
+    def converged(self, moves: int) -> bool:
+        """Stage 9: no move, or no MDL progress for three rounds.
+
+        "... or there is no more MDL optimization" (§3.4): residual
+        move oscillation with no codelength progress also ends the
+        level.  A patience window (rather than a single-round check)
+        lets the synchronized greedy recover from a round that
+        overshot — concurrent moves can transiently *raise* L, and the
+        following rounds, scored against refreshed tables, undo the
+        damage.  The exact per-round L makes the check globally
+        consistent for free.
+        """
+        if moves == 0:
+            return True
+        last = self.history[-1]
+        round_tol = max(
+            self.cfg.threshold, self.cfg.round_threshold_rel * abs(last)
+        )
+        if self.best_l - last >= round_tol:
+            self.best_l = last
+            self.stalled = 0
+            return False
+        self.stalled += 1
+        return self.stalled >= 3
+
+    def maybe_migrate(self) -> None:
+        """Stage 10: mid-level dynamic repartitioning (work stealing).
+
+        The skew probe and any migration are collective and decided
+        from allgathered work counters, so every rank takes the same
+        path.  Default-off: the disabled branch adds no collectives,
+        keeping runs bitwise-identical to a build without the feature.
+        """
+        cfg = self.cfg
+        if not (
+            cfg.dynamic_rebalance
+            and self.comm.size > 1
+            and self.rounds % cfg.rebalance_interval == 0
+        ):
+            return
+        work_now = self.timer.work.get(PHASE_FIND_BEST, 0.0)
+        outcome = maybe_rebalance(
+            self.comm, self.lg, self.state, cfg, self.timer, self.active,
+            work_window=work_now - self.rebal_work_mark,
+            rounds_window=self.rounds - self.rebal_round_mark,
+        )
+        self.rebal_work_mark = work_now
+        self.rebal_round_mark = self.rounds
+        if outcome is not None:
+            self.rebalance_events.append(
+                {**outcome.info, "round": self.rounds}
+            )
+            self.relayout(outcome)
 
 
 def _cluster_rounds(
@@ -601,7 +1182,7 @@ def _cluster_rounds(
     id_space: int,
     seed_membership: "np.ndarray | None" = None,
     active_seed: "np.ndarray | None" = None,
-) -> tuple[LocalModuleState, Contribution, list[float], int, int]:
+) -> _Level:
     """Algorithm 2 lines 2–7 (or 10–14 when ``with_delegates=False``).
 
     Args:
@@ -619,509 +1200,43 @@ def _cluster_rounds(
             it instead of all-ones.  Requires ``cfg.prune_inactive`` to
             keep contracting afterwards.
 
-    Returns ``(state, final_contribution, codelength_history, rounds,
-    total_moves, final_lg, rebalance_events)``.  ``final_lg`` is the
-    local graph the level ended with — identical to the input unless a
+    Returns the finished :class:`_Level`.  Its ``lg`` is the local
+    graph the level ended with — identical to the input unless a
     mid-level migration rebuilt it; callers must index against it, not
     the one they passed in.
     """
-    buf = comm.trace
-    live = comm.live
     state = LocalModuleState(lg)
     if seed_membership is not None:
         state.module_of = np.asarray(seed_membership, dtype=np.int64)[
             lg.global_of
         ]
-    C = _build_level_caches(lg, state, comm.size)
-
-    # Per-peer caches of (hub*id_space + module) keys and flows — each
-    # peer's last-shipped delegate contributions, kept key-sorted.
-    # These are keyed by global ids, so they survive a migration.
-    peer_keys: list[np.ndarray] = [
-        np.empty(0, np.int64) for _ in range(comm.size)
-    ]
-    peer_flows: list[np.ndarray] = [np.empty(0) for _ in range(comm.size)]
-    hub_dirty = np.ones(lg.num_hubs, dtype=bool)
-
-    with timer.phase(PHASE_OTHER):
-        own = state.contribution()
-        state.rebuild_table(own, [])
-        timer.add_work(PHASE_OTHER, lg.num_entries)
-    if seed_membership is not None and comm.size > 1:
-        # Warm start: the cold init's ghost-singleton table estimate is
-        # only exact when everyone starts as a singleton.  One full
-        # swap replaces the estimates with each owner's true module
-        # aggregates before any move is scored.  ``prepare_swap`` does
-        # not touch the delta-swap caches, so the subsequent rounds'
-        # delta protocol is unaffected.
-        with timer.phase(PHASE_SWAP_BOUNDARY):
-            batches = state.prepare_swap(own, set())
-            recv0 = comm.exchange(batches)
-        with timer.phase(PHASE_OTHER):
-            state.rebuild_table(own, list(recv0.values()))
-    state.sum_exit_global = float(comm.allreduce(own.total_exit()))
-    history = [_exact_codelength(comm, own, node_term, timer)]
-
-    order = np.arange(lg.num_owned)
     if active_seed is not None:
         active = np.asarray(active_seed, dtype=bool)[
             lg.global_of[: lg.num_owned]
         ].copy()
     else:
         active = np.ones(lg.num_owned, dtype=bool)
-    use_batch = cfg.batch_size > 0 and cfg.move_rule == "map_equation"
-    # Scratch module-touched flags for the batched sweep, allocated
-    # once per level (cleared by the sweep itself).
-    batch_touched = (
-        np.zeros(id_space, dtype=bool) if use_batch else None
+    lv = _Level(
+        comm=comm, cfg=cfg, timer=timer, node_term=node_term, rng=rng,
+        with_delegates=with_delegates, id_space=id_space,
+        lg=lg, state=state, active=active,
     )
-    # Owned vertices some peer ghosts: their post-sweep memberships are
-    # exactly the membership-sync payload, so committing them first
-    # lets the sync exchange drain while the interior sweeps (§3.4
-    # overlap).  Interior and hub moves cannot touch
-    # ``module_of[boundary_local]``, so the payload prepared right
-    # after the boundary sub-sweep is bitwise-identical to one prepared
-    # after the full sweep.  Rebuilt after structural migrations.
-    boundary_mask = np.zeros(lg.num_owned, dtype=bool)
-    boundary_mask[lg.boundary_local] = True
-    total_moves_all = 0
-    rounds = 0
-    best_l = history[0]
-    stalled = 0
-    rebalance_events: list[dict[str, Any]] = []
-    use_rebalance = cfg.dynamic_rebalance and comm.size > 1
-    rebal_work_mark = timer.work.get(PHASE_FIND_BEST, 0.0)
-    rebal_round_mark = 0
+    lv.open_table(warm=seed_membership is not None)
     for rounds in range(1, cfg.max_rounds + 1):
-        buf.set_context(round=rounds)
-        swap_bytes0 = comm.stats.bytes_by_phase.get(PHASE_SWAP_BOUNDARY, 0)
-        frontier = 0
-        if cfg.shuffle:
-            rng.shuffle(order)
-
-        # -- Find Best Module: owned low-degree vertices ------------------
-        local_moves = 0
-        work = 0
-        moved_local: list[int] = []
-        changed_mods: set[int] = set()
-        def _sweep_subset(sub: np.ndarray) -> tuple[int, int]:
-            """Score+commit one sub-sweep; returns ``(moves, work)``."""
-            if use_batch and sub.size >= _BATCH_MIN_ACTIVE:
-                return _batched_local_sweep(
-                    state, cfg, bmods, sub, id_space, batch_touched,
-                    moved_local, changed_mods,
-                )
-            mv = 0
-            wk = 0
-            for li in sub:
-                li = int(li)
-                wk += int(lg.indptr[li + 1] - lg.indptr[li])
-                dec = _evaluate_move(state, li, cfg, bmods)
-                if dec is not None:
-                    state.apply_local_move(
-                        dec.local_idx, dec.target,
-                        p_u=dec.p_u, x_u=dec.x_u,
-                        d_old=dec.d_old, d_new=dec.d_new,
-                    )
-                    mv += 1
-                    moved_local.append(li)
-                    changed_mods.add(dec.current)
-                    changed_mods.add(dec.target)
-            return mv, wk
-
-        with timer.phase(PHASE_FIND_BEST):
-            bmods = state.boundary_modules() if cfg.min_label else set()
-            act = order[active[order]]
-            frontier = int(act.size)
-            # Boundary-first split: commit every active ghosted vertex,
-            # so the membership sync can be posted before the interior
-            # (usually much larger) sub-sweep runs.
-            in_bnd = boundary_mask[act]
-            mv, wk = _sweep_subset(act[in_bnd])
-            local_moves += mv
-            work += wk
-        with timer.phase(PHASE_SWAP_BOUNDARY):
-            # -- Swap Boundary Information (post half) --------------------
-            # Posted here, consumed after the delegate consensus at the
-            # legacy sync point.  Both modes issue the identical request
-            # sequence; ``overlap=False`` merely waits immediately,
-            # serving as the blocking equivalence oracle.
-            if cfg.delta_swap:
-                memb = state.prepare_membership_sync_delta()
-            else:
-                memb = state.prepare_membership_sync()
-            sync_req = comm.iexchange(memb)
-            if not cfg.overlap:
-                sync_req.wait()
-        with timer.phase(PHASE_FIND_BEST):
-            mv, wk = _sweep_subset(act[~in_bnd])
-            local_moves += mv
-            work += wk
-            timer.add_work(PHASE_FIND_BEST, work)
-        moves_req = comm.iallreduce(local_moves)
-        if not cfg.overlap:
-            moves_req.wait()
-
-        # -- Broadcast Delegates: consensus moves for hubs -----------------
-        hub_moves = 0
-        moved_hub_modules: set[int] = set()
-        if with_delegates and lg.num_hubs:
-            proposals: dict[int, tuple[float, int]] = {}
-            if cfg.delegate_consensus == "aggregate":
-                # Gather every hub's per-module link flows so each rank
-                # scores the hub against its *global* adjacency.  Each
-                # rank's per-hub contribution only changes when some
-                # stored target of that hub changed module, so only
-                # *dirty* hubs are re-aggregated and re-shipped; every
-                # rank caches every peer's last contribution
-                # (``peer_hub_maps``) and re-merges just the refreshed
-                # hubs.  Consensus stays consistent because moves are
-                # applied from the all-gathered winner list, not from
-                # who happened to score.
-                with timer.phase(PHASE_FIND_BEST):
-                    if not cfg.prune_inactive:
-                        hub_dirty[:] = True
-                    dmask = hub_dirty[C.hub_ord_per_entry]
-                    if dmask.any():
-                        dk = (
-                            C.hub_ord_per_entry[dmask] * np.int64(id_space)
-                            + state.module_of[C.hub_tgt_sorted[dmask]]
-                        )
-                        uk, inv = np.unique(dk, return_inverse=True)
-                        kf = np.bincount(
-                            inv, weights=C.hub_flw_sorted[dmask],
-                            minlength=uk.size,
-                        )
-                        upd_hubs = np.unique(C.hub_ord_per_entry[dmask])
-                        timer.add_work(
-                            PHASE_FIND_BEST, int(dmask.sum())
-                        )
-                    else:
-                        uk = np.empty(0, np.int64)
-                        kf = np.empty(0)
-                        upd_hubs = np.empty(0, np.int64)
-                with timer.phase(PHASE_BROADCAST_DELEGATES):
-                    # Route each dirty hub's flow contribution to the
-                    # hub's *home* rank only — the sole rank that will
-                    # score it — instead of broadcasting everywhere.
-                    upd_msgs: dict[int, Any] = {}
-                    self_update = None
-                    if uk.size:
-                        key_home = C.hub_home_rank[(uk // id_space)]
-                        for r in range(comm.size):
-                            sel = key_home == r
-                            if not sel.any():
-                                continue
-                            payload = (
-                                np.unique(uk[sel] // id_space),
-                                uk[sel],
-                                kf[sel],
-                            )
-                            if r == comm.rank:
-                                self_update = payload
-                            else:
-                                upd_msgs[r] = payload
-                    recv_upd = comm.exchange(upd_msgs)
-                with timer.phase(PHASE_FIND_BEST):
-                    rescore_mask = np.zeros(lg.num_hubs, dtype=bool)
-                    all_updates: list[tuple[int, Any]] = list(
-                        recv_upd.items()
-                    )
-                    if self_update is not None:
-                        all_updates.append((comm.rank, self_update))
-                    for r, (uh, k2, f2) in all_updates:
-                        if uh.size == 0:
-                            continue
-                        pk, pf = peer_keys[r], peer_flows[r]
-                        if pk.size:
-                            keep = ~np.isin(pk // id_space, uh)
-                            nk = np.concatenate([pk[keep], k2])
-                            nf = np.concatenate([pf[keep], f2])
-                        else:
-                            nk, nf = k2, f2
-                        srt = np.argsort(nk, kind="stable")
-                        peer_keys[r] = nk[srt]
-                        peer_flows[r] = nf[srt]
-                        rescore_mask[uh] = True
-                    # Hubs whose own module's aggregates shifted also
-                    # need re-scoring even if their adjacency is clean.
-                    if changed_mods:
-                        hub_mods_now = state.module_of[
-                            lg.num_owned : lg.num_owned + lg.num_hubs
-                        ]
-                        cm = np.fromiter(
-                            changed_mods, dtype=np.int64,
-                            count=len(changed_mods),
-                        )
-                        rescore_mask |= np.isin(hub_mods_now, cm)
-                    # Only the hub's home rank scores it — every rank
-                    # holds the same merged flows, so scoring is pure
-                    # duplication; the winner still reaches everyone
-                    # through the proposal allgather.
-                    rescore_mask &= lg.hub_home
-                    rescore_hubs = np.flatnonzero(rescore_mask)
-                    if rescore_hubs.size:
-                        sel_k: list[np.ndarray] = []
-                        sel_f: list[np.ndarray] = []
-                        for r in range(comm.size):
-                            pk = peer_keys[r]
-                            if pk.size == 0:
-                                continue
-                            m = np.isin(pk // id_space, rescore_hubs)
-                            sel_k.append(pk[m])
-                            sel_f.append(peer_flows[r][m])
-                        if sel_k:
-                            kk = np.concatenate(sel_k)
-                            ff = np.concatenate(sel_f)
-                            guk, ginv = np.unique(kk, return_inverse=True)
-                            gf = np.bincount(
-                                ginv, weights=ff, minlength=guk.size
-                            )
-                            ho_arr = (guk // id_space).astype(np.int64)
-                            mod_arr = (guk % id_space).astype(np.int64)
-                            bnd = np.searchsorted(
-                                ho_arr, np.arange(lg.num_hubs + 1)
-                            )
-                            for ho in rescore_hubs.tolist():
-                                a, b = int(bnd[ho]), int(bnd[ho + 1])
-                                if a == b:
-                                    continue
-                                hi = lg.num_owned + ho
-                                dec = _score_candidates(
-                                    state, cfg, bmods,
-                                    li=hi,
-                                    current=int(state.module_of[hi]),
-                                    uniq=mod_arr[a:b], agg=gf[a:b],
-                                    p_u=float(lg.flow[hi]),
-                                    x_u=float(lg.exit0[hi]),
-                                )
-                                if dec is not None:
-                                    proposals[int(lg.global_of[hi])] = (
-                                        dec.delta, dec.target
-                                    )
-            else:
-                # "min_local": the paper's literal rule — each rank
-                # proposes the best move it sees from its local subset
-                # of the hub's edges.
-                with timer.phase(PHASE_FIND_BEST):
-                    hwork = 0
-                    for hi in range(lg.num_owned, lg.num_owned + lg.num_hubs):
-                        hwork += int(lg.indptr[hi + 1] - lg.indptr[hi])
-                        dec = _evaluate_move(state, hi, cfg, bmods)
-                        if dec is not None:
-                            proposals[int(lg.global_of[hi])] = (
-                                dec.delta, dec.target
-                            )
-                    timer.add_work(PHASE_FIND_BEST, hwork)
-            with timer.phase(PHASE_BROADCAST_DELEGATES):
-                # Ship the proposals as three typed columns through an
-                # allgatherv instead of one generic dict per rank.
-                n_props = len(proposals)
-                hub_col = np.fromiter(
-                    proposals.keys(), dtype=np.int64, count=n_props
-                )
-                delta_col = np.fromiter(
-                    (v[0] for v in proposals.values()),
-                    dtype=np.float64, count=n_props,
-                )
-                target_col = np.fromiter(
-                    (v[1] for v in proposals.values()),
-                    dtype=np.int64, count=n_props,
-                )
-                (hubs_all, deltas_all, targets_all), counts = (
-                    comm.allgatherv((hub_col, delta_col, target_col))
-                )
-            with timer.phase(PHASE_OTHER):
-                # Winner per hub = lexicographic min of
-                # (delta, target, rank) — value-identical to folding
-                # each rank's proposals through a tuple-key min.
-                winners: dict[int, tuple[float, int]] = {}
-                if hubs_all.size:
-                    prop_ranks = np.repeat(
-                        np.arange(comm.size, dtype=np.int64), counts
-                    )
-                    p_order = np.lexsort(
-                        (prop_ranks, targets_all, deltas_all, hubs_all)
-                    )
-                    h_sorted = hubs_all[p_order]
-                    is_first = np.ones(h_sorted.size, dtype=bool)
-                    is_first[1:] = h_sorted[1:] != h_sorted[:-1]
-                    win = p_order[is_first]
-                    # Keep the legacy first-encounter insertion order
-                    # (rank-major): winners.items() drives the move
-                    # loop, and move order feeds float accumulation in
-                    # the module table, so it must not change.
-                    _uniq, first_idx = np.unique(
-                        hubs_all, return_index=True
-                    )
-                    win = win[np.argsort(first_idx, kind="stable")]
-                    winners = {
-                        int(h): (float(d), int(t))
-                        for h, d, t in zip(
-                            hubs_all[win], deltas_all[win], targets_all[win]
-                        )
-                    }
-        moved_hubs: list[int] = []
-        if with_delegates and lg.num_hubs:
-            with timer.phase(PHASE_OTHER):
-                for hub, (_delta, target) in winners.items():
-                    hi = C.hub_index[hub]
-                    old = int(state.module_of[hi])
-                    if old != target:
-                        state.module_of[hi] = target
-                        moved_hub_modules.add(target)
-                        changed_mods.add(old)
-                        changed_mods.add(target)
-                        moved_hubs.append(hi)
-                        hub_moves += 1  # identical on every rank
-
-        # -- Swap Boundary Information (wait half) -----------------------
-        with timer.phase(PHASE_SWAP_BOUNDARY):
-            recv = sync_req.wait()
-            changed_ghosts = state.apply_membership_sync(
-                list(recv.values()), C.ghost_index
-            )
-
-        with timer.phase(PHASE_OTHER):
-            own = state.contribution()
-            timer.add_work(PHASE_OTHER, lg.num_entries)
-            if cfg.prune_inactive:
-                # Next round only re-evaluates vertices whose decision
-                # inputs changed: stored in-neighbours of anything that
-                # moved (local, hub or ghost) plus members of modules
-                # whose aggregates changed.
-                active[:] = False
-                hub_dirty[:] = False
-                changed_idx = np.asarray(
-                    moved_local + moved_hubs + changed_ghosts,
-                    dtype=np.int64,
-                )
-                _mark_neighbors(C, lg, changed_idx, active, hub_dirty)
-                if changed_mods:
-                    cm = np.fromiter(
-                        changed_mods, dtype=np.int64, count=len(changed_mods)
-                    )
-                    active |= np.isin(
-                        state.module_of[: lg.num_owned], cm
-                    )
-        # ``own`` is final for the round here (the swaps below fold
-        # *peer* aggregates into the table; they never touch ``own``),
-        # so the exit-total reduction can drain behind the delta swap.
-        exit_req = comm.iallreduce(own.total_exit())
-        if not cfg.overlap:
-            exit_req.wait()
-
-        if cfg.full_module_info and cfg.delta_swap:
-            with timer.phase(PHASE_SWAP_BOUNDARY):
-                # Native typed column tuples go straight on the wire —
-                # the frame codec ships each column as raw aligned
-                # bytes, so no float64 re-packing is needed (int ids
-                # round-tripped exactly through the old packing too, so
-                # decoded values are unchanged).
-                deltas_out = state.prepare_swap_delta(own, moved_hub_modules)
-                recv2 = comm.exchange(deltas_out)
-            with timer.phase(PHASE_OTHER):
-                state.apply_swap_delta(recv2)
-                state.rebuild_table_from_caches(own)
-        elif cfg.full_module_info:
-            with timer.phase(PHASE_SWAP_BOUNDARY):
-                batches = state.prepare_swap(own, moved_hub_modules)
-                recv2 = comm.exchange(batches)
-            with timer.phase(PHASE_OTHER):
-                # exchange() yields ascending source order — the fold
-                # order the bitwise-deterministic rebuild depends on.
-                state.rebuild_table(own, list(recv2.values()))
-        else:
-            with timer.phase(PHASE_OTHER):
-                state.rebuild_table(own, [])
-        state.sum_exit_global = float(exit_req.wait())
-        history.append(_exact_codelength(comm, own, node_term, timer))
-
-        total_moves = int(moves_req.wait()) + hub_moves
-        total_moves_all += total_moves
-        if live.enabled:
-            # Round gauges for in-flight observers.  codelength and
-            # total_moves are allreduced, hence identical on every
-            # rank — the live "moves" counter is therefore the
-            # replicated *global* cumulative count, like codelength.
-            live.update(round=rounds, codelength=float(history[-1]))
-            live.add("moves", total_moves)
-        if buf.enabled:
-            # One convergence sample per rank per round.  codelength
-            # and moves are globally consistent (allreduced) so any
-            # rank's series is *the* series; boundary_bytes and
-            # frontier are per-rank and summed at export time.
-            swap_bytes = (
-                comm.stats.bytes_by_phase.get(PHASE_SWAP_BOUNDARY, 0)
-                - swap_bytes0
-            )
-            buf.instant(
-                "round",
-                args={
-                    "codelength": float(history[-1]),
-                    "moves": int(total_moves),
-                    "boundary_bytes": int(swap_bytes),
-                    "frontier": frontier,
-                },
-            )
-            buf.counter("codelength", float(history[-1]))
-            buf.counter("moves", float(total_moves))
-            buf.counter("frontier", float(frontier))
-        if total_moves == 0:
+        lv.begin_round(rounds)
+        interior = lv.find_best_boundary()
+        sync_req = lv.post_membership_sync()
+        moves_req = lv.find_best_interior(interior)
+        hub_moves = lv.delegate_consensus()
+        changed_ghosts = lv.wait_membership_sync(sync_req)
+        exit_req = lv.refresh(changed_ghosts)
+        lv.swap_modules()
+        moves = lv.record_round(exit_req, moves_req, hub_moves)
+        if lv.converged(moves):
             break
-        # "... or there is no more MDL optimization" (§3.4): residual
-        # move oscillation with no codelength progress also ends the
-        # level.  A patience window (rather than a single-round check)
-        # lets the synchronized greedy recover from a round that
-        # overshot — concurrent moves can transiently *raise* L, and
-        # the following rounds, scored against refreshed tables, undo
-        # the damage.  The exact per-round L makes the check globally
-        # consistent for free.
-        round_tol = max(
-            cfg.threshold, cfg.round_threshold_rel * abs(history[-1])
-        )
-        if best_l - history[-1] >= round_tol:
-            best_l = history[-1]
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 3:
-                break
-
-        # -- Mid-level dynamic repartitioning (work stealing) -------------
-        # Runs only when the level continues; the skew probe and any
-        # migration are collective and decided from allgathered work
-        # counters, so every rank takes the same path.  Default-off:
-        # the disabled branch adds no collectives, keeping runs
-        # bitwise-identical to a build without the feature.
-        if use_rebalance and rounds % cfg.rebalance_interval == 0:
-            work_now = timer.work.get(PHASE_FIND_BEST, 0.0)
-            outcome = maybe_rebalance(
-                comm, lg, state, cfg, timer, active,
-                work_window=work_now - rebal_work_mark,
-                rounds_window=rounds - rebal_round_mark,
-            )
-            rebal_work_mark = work_now
-            rebal_round_mark = rounds
-            if outcome is not None:
-                rebalance_events.append(
-                    {**outcome.info, "round": rounds}
-                )
-                own = outcome.own
-                if outcome.structural:
-                    lg = outcome.lg
-                    state = outcome.state
-                    active = outcome.active
-                    order = np.arange(lg.num_owned)
-                    C = _build_level_caches(lg, state, comm.size)
-                # Bystander ranks keep their objects but the migration
-                # repairs ``boundary_local`` in place — refresh the
-                # mask on every outcome, structural or not.
-                boundary_mask = np.zeros(lg.num_owned, dtype=bool)
-                boundary_mask[lg.boundary_local] = True
-    buf.set_context(round=None)
-
-    return state, own, history, rounds, total_moves_all, lg, rebalance_events
+        lv.maybe_migrate()
+    comm.trace.set_context(round=None)
+    return lv
 
 
 # ---------------------------------------------------------------------------
@@ -1194,44 +1309,13 @@ def _merge_to_coarse(
 
 
 # ---------------------------------------------------------------------------
-# The full per-rank program (both stages)
+# The per-rank program (both stages)
 # ---------------------------------------------------------------------------
 
-def _rank_program(
-    comm: Communicator,
-    views: list[LocalGraph],
-    cfg: InfomapConfig,
-    n0: int,
-    seed_membership: "np.ndarray | None" = None,
-    active_seed: "np.ndarray | None" = None,
-) -> dict[str, Any]:
-    """In-RAM rank program: local views were carved out by the driver.
-
-    A warm start passes *seed_membership*: stage 1 then starts from the
-    cached (relabeled) membership instead of all-singletons and, when an
-    *active_seed* mask is given, only the dirty frontier is swept in
-    round 1 — the O(changed region) property the incremental benchmark
-    guards.
-    """
-    return _rank_body(
-        comm,
-        views[comm.rank],
-        cfg,
-        n0,
-        seed_membership=seed_membership,
-        active_seed=active_seed,
-    )
-
-
-def _rank_program_shard(
-    comm: Communicator,
-    store_dir: str,
-    plan: Any,
-    cfg: InfomapConfig,
-    n0: int,
-) -> dict[str, Any]:
-    """Out-of-core rank program: build the local view from this rank's
-    shard of an on-disk CSR store, then run the shared body.
+def _load_shard(
+    comm: Communicator, cfg: InfomapConfig, store_dir: str, plan: Any
+) -> tuple[LocalGraph, dict[str, Any]]:
+    """Build this rank's local view from its shard of an on-disk store.
 
     The driver never materializes the graph; each worker memmaps the
     store and reads only its contiguous row slice (plus the two ghost
@@ -1256,202 +1340,199 @@ def _rank_program_shard(
     # additionally includes solver workspace, which scales with the
     # local graph but has a larger constant.
     ingest["peak_rss_after_load_bytes"] = peak_rss_bytes()
-    out = _rank_body(comm, lg, cfg, n0)
-    out["ingest"] = ingest
-    return out
+    return lg, ingest
 
 
-def _rank_body(
+def _exactly_once(lg: LocalGraph) -> np.ndarray:
+    """Local indices of the vertices this rank accounts for: its owned
+    vertices plus the hubs whose home it is."""
+    mass = np.zeros(lg.num_local, dtype=bool)
+    mass[: lg.num_owned] = True
+    mass[lg.num_owned : lg.num_owned + lg.num_hubs] = lg.hub_home
+    return np.flatnonzero(mass)
+
+
+@contextmanager
+def _level_scope(
     comm: Communicator,
-    lg: LocalGraph,
+    records: list[dict[str, Any]],
+    level: int,
+    num_vertices: int,
+) -> Iterator[dict[str, Any]]:
+    """Run one clustering level under its trace/live level context.
+
+    Yields the level's record row, which the body completes with
+    :meth:`_Level.summary`; on exit the row is appended to *records*
+    and a ``level_done`` instant is emitted.
+    """
+    buf = comm.trace
+    buf.set_context(level=level)
+    if comm.live.enabled:
+        comm.live.update(level=level)
+    row: dict[str, Any] = {"level": level, "num_vertices": num_vertices}
+    yield row
+    records.append(row)
+    if buf.enabled:
+        buf.instant(
+            "level_done",
+            args={
+                "num_vertices": int(num_vertices),
+                "num_modules": row["num_modules"],
+                "codelength": float(row["codelength_after"]),
+                "moves": int(row["moves"]),
+            },
+        )
+
+
+def _rank_program(
+    comm: Communicator,
     cfg: InfomapConfig,
     n0: int,
+    *,
+    views: "list[LocalGraph] | None" = None,
+    shard: "tuple[str, Any] | None" = None,
     seed_membership: "np.ndarray | None" = None,
     active_seed: "np.ndarray | None" = None,
 ) -> dict[str, Any]:
-    rank = comm.rank
-    p = comm.size
+    """Both clustering stages on one rank.
+
+    The rank's stage-1 local graph is ``views[comm.rank]``, carved out
+    by the driver, or — with ``shard=(store_dir, plan)`` — built from
+    this rank's shard of an on-disk CSR store (:func:`_load_shard`);
+    the output then carries the load stats under ``"ingest"``.
+
+    A warm start passes *seed_membership*: stage 1 then starts from the
+    cached (relabeled) membership instead of all-singletons and, when an
+    *active_seed* mask is given, only the dirty frontier is swept in
+    round 1 — the O(changed region) property the incremental benchmark
+    guards.
+    """
+    ingest = None
+    if shard is not None:
+        lg, ingest = _load_shard(comm, cfg, *shard)
+    else:
+        lg = views[comm.rank]
     buf = comm.trace
     timer = PhaseTimer(comm, trace=buf)
-    rng = np.random.default_rng(cfg.seed + 7919 * rank)
+    rng = np.random.default_rng(cfg.seed + 7919 * comm.rank)
 
     # Constant node-codebook term, reduced from exactly-once vertex mass.
     with timer.phase(PHASE_OTHER):
-        mass = np.zeros(lg.num_local, dtype=bool)
-        mass[: lg.num_owned] = True
-        mass[lg.num_owned : lg.num_owned + lg.num_hubs] = lg.hub_home
-        local_nt = -float(plogp(lg.flow[mass]).sum())
+        local_nt = -float(plogp(lg.flow[_exactly_once(lg)]).sum())
     node_term = float(comm.allreduce(local_nt))
 
     records: list[dict[str, Any]] = []
-    codelength_history: list[float] = []
-
     log.debug(
         "rank program start: owned=%d hubs=%d ghosts=%d",
         lg.num_owned, lg.num_hubs, lg.num_ghosts,
     )
 
     # ---- Stage 1: clustering with delegates --------------------------------
-    live = comm.live
-    buf.set_context(level=0)
-    if live.enabled:
-        live.update(level=0)
-    with buf.span("stage1"):
-        state, own, hist1, rounds1, moves1, lg, reb1 = _cluster_rounds(
-            comm, lg, cfg, timer, node_term, rng, with_delegates=True,
-            id_space=n0, seed_membership=seed_membership,
-            active_seed=active_seed,
+    with _level_scope(comm, records, 0, n0) as row:
+        with buf.span("stage1"):
+            lv1 = _cluster_rounds(
+                comm, lg, cfg, timer, node_term, rng, with_delegates=True,
+                id_space=n0, seed_membership=seed_membership,
+                active_seed=active_seed,
+            )
+        net, module_ids = _merge_to_coarse(
+            comm, lv1.state, lv1.own, timer, id_space=n0
         )
-    codelength_history.extend(hist1)
-    rebalance_events: list[dict[str, Any]] = [
-        {**ev, "level": 0} for ev in reb1
-    ]
-    # A migration may have rebuilt lg: recompute the exactly-once mass
-    # mask against the *final* layout before indexing with it.
-    mass = np.zeros(lg.num_local, dtype=bool)
-    mass[: lg.num_owned] = True
-    mass[lg.num_owned : lg.num_owned + lg.num_hubs] = lg.hub_home
-
-    net, module_ids = _merge_to_coarse(comm, state, own, timer, id_space=n0)
-    log.debug(
-        "stage 1 done: rounds=%d moves=%d L=%.6f -> %d modules",
-        rounds1, moves1, hist1[-1], net.graph.num_vertices,
-    )
-    if buf.enabled:
-        buf.instant(
-            "level_done",
-            args={
-                "num_vertices": int(n0),
-                "num_modules": int(net.graph.num_vertices),
-                "codelength": float(hist1[-1]),
-                "moves": int(moves1),
-            },
+        log.debug(
+            "stage 1 done: rounds=%d moves=%d L=%.6f -> %d modules",
+            lv1.rounds, lv1.total_moves, lv1.history[-1],
+            net.graph.num_vertices,
         )
+        row.update(lv1.summary(net.graph.num_vertices))
     stage1_timer = timer.snapshot()
-    records.append(
-        {
-            "level": 0,
-            "num_vertices": n0,
-            "num_modules": int(net.graph.num_vertices),
-            "codelength_before": hist1[0],
-            "codelength_after": hist1[-1],
-            "sweeps": rounds1,
-            "moves": moves1,
-        }
-    )
+    codelength_history = list(lv1.history)
+    rebalance_events = [{**ev, "level": 0} for ev in lv1.rebalance_events]
 
-    # Stage-1 assignment of this rank's exactly-once vertices.
-    my_vertices = lg.global_of[np.flatnonzero(mass)]
-    my_modules_stage1 = state.module_of[np.flatnonzero(mass)]
+    # Stage-1 assignment of this rank's exactly-once vertices, indexed
+    # against the layout stage 1 ended with (a migration may rebuild it).
+    mass = _exactly_once(lv1.lg)
+    my_vertices = lv1.lg.global_of[mass]
     # Coarse index of each stage-1 module.
-    coarse_of_stage1 = np.searchsorted(module_ids, my_modules_stage1)
+    coarse_of_stage1 = np.searchsorted(module_ids, lv1.state.module_of[mass])
 
-    # ---- Stage 2: clustering without delegates, level after level ------------
+    # ---- Stage 2: clustering without delegates, level after level --------
     proj = np.arange(net.graph.num_vertices, dtype=np.int64)
-    l_prev = hist1[-1]
-    converged = moves1 == 0
-    final_codelength = l_prev
-
+    converged = lv1.total_moves == 0
     # A warm start whose dirty-region sweep committed nothing has
     # verified the seeded partition is still locally optimal, and the
     # cached solve already converged at every coarse level — skip
     # stage 2 entirely (this is the no-op invariant: empty delta ends
-    # after one zero-move round at the seeded codelength).  moves1 is
-    # allreduced, so every rank takes the same branch.
+    # after one zero-move round at the seeded codelength).  The move
+    # count is allreduced, so every rank takes the same branch.
     max_levels = (
-        1 if (seed_membership is not None and moves1 == 0)
+        1 if (seed_membership is not None and lv1.total_moves == 0)
         else cfg.max_levels
     )
     for level in range(1, max_levels):
         cn = net.graph.num_vertices
-        buf.set_context(level=level)
-        if live.enabled:
-            live.update(level=level)
-        with timer.phase(PHASE_OTHER):
-            # Small coarse graphs concentrate onto fewer ranks (see
-            # InfomapConfig.min_vertices_per_rank); idle ranks still
-            # join every collective so the SPMD schedule stays aligned.
-            p_eff = max(1, min(p, cn // cfg.min_vertices_per_rank))
-            owner = (np.arange(cn, dtype=np.int64) % p_eff).astype(np.int64)
-            part = OneDPartition(owner=owner, nranks=p)
-            views2 = local_views_1d(net, part)
-            lg2 = views2[rank]
-
-        with buf.span("stage2_level"):
-            state2, own2, hist2, rounds2, moves2, lg2, reb2 = (
-                _cluster_rounds(
+        with _level_scope(comm, records, level, cn) as row:
+            with timer.phase(PHASE_OTHER):
+                # Small coarse graphs concentrate onto fewer ranks (see
+                # InfomapConfig.min_vertices_per_rank); idle ranks still
+                # join every collective so the SPMD schedule stays
+                # aligned.
+                p = comm.size
+                p_eff = max(1, min(p, cn // cfg.min_vertices_per_rank))
+                owner = np.arange(cn, dtype=np.int64) % p_eff
+                part = OneDPartition(owner=owner, nranks=p)
+                lg2 = local_views_1d(net, part)[comm.rank]
+            with buf.span("stage2_level"):
+                lv = _cluster_rounds(
                     comm, lg2, cfg, timer, node_term, rng,
                     with_delegates=False, id_space=cn,
                 )
+            rebalance_events.extend(
+                {**ev, "level": level} for ev in lv.rebalance_events
             )
-        rebalance_events.extend({**ev, "level": level} for ev in reb2)
-        l_after = hist2[-1]
-        codelength_history.append(l_after)
-        final_codelength = l_after
+            codelength_history.append(lv.history[-1])
 
-        # Assemble the full coarse membership (module ids are coarse
-        # vertex ids) so every rank can coarsen its replica.
-        with timer.phase(PHASE_SWAP_BOUNDARY):
-            pieces = comm.allgather(
-                (
-                    lg2.global_of[: lg2.num_owned],
-                    state2.module_of[: lg2.num_owned],
+            # Assemble the full coarse membership (module ids are coarse
+            # vertex ids) so every rank can coarsen its replica.
+            with timer.phase(PHASE_SWAP_BOUNDARY):
+                pieces = comm.allgather(
+                    (
+                        lv.lg.global_of[: lv.lg.num_owned],
+                        lv.state.module_of[: lv.lg.num_owned],
+                    )
                 )
-            )
-        with timer.phase(PHASE_OTHER):
-            membership = np.empty(cn, dtype=np.int64)
-            for gids, mods in pieces:
-                membership[gids] = mods
-            coarse2, community_of = net.coarsen(membership)
-            proj = community_of[proj]
+            with timer.phase(PHASE_OTHER):
+                membership = np.empty(cn, dtype=np.int64)
+                for gids, mods in pieces:
+                    membership[gids] = mods
+                coarse2, community_of = net.coarsen(membership)
+                proj = community_of[proj]
+            row.update(lv.summary(coarse2.graph.num_vertices))
 
-        records.append(
-            {
-                "level": level,
-                "num_vertices": cn,
-                "num_modules": int(coarse2.graph.num_vertices),
-                "codelength_before": hist2[0],
-                "codelength_after": l_after,
-                "sweeps": rounds2,
-                "moves": moves2,
-            }
-        )
-        if buf.enabled:
-            buf.instant(
-                "level_done",
-                args={
-                    "num_vertices": int(cn),
-                    "num_modules": int(coarse2.graph.num_vertices),
-                    "codelength": float(l_after),
-                    "moves": int(moves2),
-                },
-            )
-
-        if moves2 == 0 or (l_prev - l_after) < cfg.threshold:
-            converged = True
-            break
-        if coarse2.graph.num_vertices == cn and moves2 == 0:
+        # codelength_history[-2] is the previous level's codelength.
+        gain = codelength_history[-2] - codelength_history[-1]
+        if lv.total_moves == 0 or gain < cfg.threshold:
             converged = True
             break
         net = coarse2
-        l_prev = l_after
     buf.set_context(level=None)
 
-    final_modules = proj[coarse_of_stage1]
-    return {
+    out = {
         "vertices": my_vertices,
-        "modules": final_modules,
-        "codelength": final_codelength,
+        "modules": proj[coarse_of_stage1],
+        "codelength": codelength_history[-1],
         "codelength_history": codelength_history,
         "records": records,
         "converged": converged,
         "timer": timer.snapshot(),
         "stage1_timer": stage1_timer,
-        "stage1_rounds": rounds1,
-        "num_entries_stage1": lg.num_entries,
-        "num_ghosts_stage1": lg.num_ghosts,
+        "stage1_rounds": lv1.rounds,
+        "num_entries_stage1": lv1.lg.num_entries,
+        "num_ghosts_stage1": lv1.lg.num_ghosts,
         "rebalance_events": rebalance_events,
     }
+    if ingest is not None:
+        out["ingest"] = ingest
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1459,17 +1540,16 @@ def _rank_body(
 # ---------------------------------------------------------------------------
 
 def _launch(
-    program: Any,
     nranks: int,
     cfg: InfomapConfig,
-    *args: Any,
+    *,
     timeout: float,
     tracer: Any,
     live: Any,
     backend: "str | None",
     **kwargs: Any,
 ) -> Any:
-    """Run a rank program as ``program(comm, *args, cfg=..., **kwargs)``.
+    """Run :func:`_rank_program` as ``_rank_program(comm, cfg=..., **kwargs)``.
 
     The *tracer*, *live* and *backend* arguments override the config's
     own.  The shipped config never carries the tracer or live plane:
@@ -1482,9 +1562,8 @@ def _launch(
         if (cfg.tracer is not None or cfg.live is not None) else cfg
     )
     return run_spmd(
-        program,
+        _rank_program,
         nranks,
-        fn_args=args,
         fn_kwargs={"cfg": ship_cfg, **kwargs},
         timeout=timeout,
         tracer=tracer if tracer is not None else cfg.tracer,
@@ -1498,6 +1577,9 @@ def distributed_infomap(
     nranks: int,
     config: InfomapConfig | None = None,
     *,
+    seed_membership: "np.ndarray | None" = None,
+    active: "np.ndarray | None" = None,
+    views: "list[LocalGraph] | None" = None,
     machine: MachineModel | None = None,
     timeout: float = 600.0,
     tracer: Any = None,
@@ -1510,6 +1592,18 @@ def distributed_infomap(
     up front; the two clustering stages run as an SPMD job on the
     in-process runtime.  See :class:`DistributedInfomap` for the
     object-style API and the paper mapping.
+
+    Warm start: *seed_membership* (length ``graph.num_vertices``, global
+    id space) replaces the all-singletons stage-1 init; *active*, when
+    given, is a boolean mask restricting the first sweep to a delta's
+    dirty frontier — untouched vertices are only revisited if a
+    neighbour or their module changes, so a converged region costs
+    nothing.  Partitioning is then plain 1D round-robin with no
+    delegates: a warm start exists to avoid O(graph) work, and the
+    delegate planner is itself an O(graph) pass.  Pass pre-repaired
+    *views* (see :func:`repro.partition.repair.repair_local_views`) to
+    skip even the view build; they must be 1D round-robin views of
+    *graph* for *nranks* ranks.  *active* and *views* need a seed.
 
     With a :class:`~repro.obs.trace.Tracer` (argument or
     ``config.tracer``) every rank records phase spans, per-round
@@ -1531,100 +1625,51 @@ def distributed_infomap(
     cfg = config or InfomapConfig()
     if graph.num_edges == 0:
         raise ValueError("cannot cluster a graph with no edges")
-
-    network = FlowNetwork.from_graph(graph)
-    mean_degree = graph.nnz / max(graph.num_vertices, 1)
-    dpart = delegate_partition(
-        graph,
-        nranks,
-        d_high=cfg.resolve_d_high(nranks, mean_degree),
-        rebalance=cfg.rebalance,
-    )
-    views = build_local_graphs(
-        network,
-        entry_rank=dpart.entry_rank,
-        owner=dpart.owner,
-        is_hub=dpart.is_hub,
-        nranks=nranks,
-    )
-
-    res = _launch(
-        _rank_program, nranks, cfg, views,
-        n0=graph.num_vertices,
-        timeout=timeout, tracer=tracer, live=live, backend=backend,
-    )
-    return _assemble_result(
-        res,
-        graph.num_vertices,
-        nranks,
-        machine,
-        head_extras={"d_high": dpart.d_high, "num_hubs": dpart.num_hubs},
-    )
-
-
-def warm_distributed_infomap(
-    graph: Graph,
-    nranks: int,
-    config: InfomapConfig | None = None,
-    *,
-    seed_membership: np.ndarray,
-    active: "np.ndarray | None" = None,
-    views: "list[LocalGraph] | None" = None,
-    machine: MachineModel | None = None,
-    timeout: float = 600.0,
-    tracer: Any = None,
-    live: Any = None,
-    backend: str | None = None,
-) -> ClusteringResult:
-    """Distributed re-solve warm-started from a cached partition.
-
-    *seed_membership* (length ``graph.num_vertices``, global id space)
-    replaces the all-singletons stage-1 init; *active*, when given, is a
-    boolean mask restricting the first sweep to the delta's dirty
-    frontier — untouched vertices are only revisited if a neighbour or
-    their module changes, so a converged region costs nothing.
-
-    Partitioning is plain 1D round-robin with no delegates: a warm start
-    exists to avoid O(graph) work, and the delegate planner is itself an
-    O(graph) pass.  Pass pre-repaired *views* (see
-    :func:`repro.partition.repair.repair_local_views`) to skip even the
-    view build; they must be 1D round-robin views of *graph* for
-    *nranks* ranks.
-    """
-    cfg = config or InfomapConfig()
-    if graph.num_edges == 0:
-        raise ValueError("cannot cluster a graph with no edges")
     n = graph.num_vertices
-    seed = np.asarray(seed_membership, dtype=np.int64)
-    if seed.shape != (n,):
-        raise ValueError(
-            f"seed_membership must have shape ({n},), got {seed.shape}"
+    if seed_membership is None:
+        if active is not None or views is not None:
+            raise ValueError("active and views need seed_membership")
+        mean_degree = graph.nnz / max(n, 1)
+        dpart = delegate_partition(
+            graph,
+            nranks,
+            d_high=cfg.resolve_d_high(nranks, mean_degree),
+            rebalance=cfg.rebalance,
         )
-    act = None
-    if active is not None:
-        act = np.asarray(active, dtype=bool)
-        if act.shape != (n,):
+        views = build_local_graphs(
+            FlowNetwork.from_graph(graph),
+            entry_rank=dpart.entry_rank,
+            owner=dpart.owner,
+            is_hub=dpart.is_hub,
+            nranks=nranks,
+        )
+        head_extras = {"d_high": dpart.d_high, "num_hubs": dpart.num_hubs}
+    else:
+        seed_membership = np.asarray(seed_membership, dtype=np.int64)
+        if seed_membership.shape != (n,):
             raise ValueError(
-                f"active must have shape ({n},), got {act.shape}"
+                f"seed_membership must have shape ({n},), "
+                f"got {seed_membership.shape}"
             )
-
-    if views is None:
-        network = FlowNetwork.from_graph(graph)
-        part = OneDPartition.round_robin(n, nranks)
-        views = local_views_1d(network, part)
+        if active is not None:
+            active = np.asarray(active, dtype=bool)
+            if active.shape != (n,):
+                raise ValueError(
+                    f"active must have shape ({n},), got {active.shape}"
+                )
+        if views is None:
+            views = local_views_1d(
+                FlowNetwork.from_graph(graph),
+                OneDPartition.round_robin(n, nranks),
+            )
+        head_extras = {"d_high": None, "num_hubs": 0, "warm_start": True}
 
     res = _launch(
-        _rank_program, nranks, cfg, views,
-        n0=n, seed_membership=seed, active_seed=act,
+        nranks, cfg, n0=n, views=views,
+        seed_membership=seed_membership, active_seed=active,
         timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
-    return _assemble_result(
-        res,
-        n,
-        nranks,
-        machine,
-        head_extras={"d_high": None, "num_hubs": 0, "warm_start": True},
-    )
+    return _assemble_result(res, n, nranks, machine, head_extras=head_extras)
 
 
 def _assemble_result(
@@ -1633,13 +1678,14 @@ def _assemble_result(
     nranks: int,
     machine: "MachineModel | None",
     *,
+    method: str = "distributed",
     head_extras: "dict[str, Any] | None" = None,
     tail_extras: "dict[str, Any] | None" = None,
 ) -> ClusteringResult:
     """Turn per-rank SPMD outputs into one :class:`ClusteringResult`.
 
-    Shared by the in-RAM and out-of-core drivers so both report the
-    identical extras schema (plus driver-specific keys).
+    Shared by every driver (and the GossipMap baseline) so all report
+    the identical extras schema (plus driver-specific keys).
     """
     # Assemble the flat membership from per-rank exactly-once pieces.
     membership = np.full(num_vertices, -1, dtype=np.int64)
@@ -1669,7 +1715,7 @@ def _assemble_result(
         membership=membership,
         codelength=float(r0["codelength"]),
         levels=levels,
-        method="distributed",
+        method=method,
         converged=bool(r0["converged"]),
         extras={
             "nranks": nranks,
@@ -1743,8 +1789,7 @@ def external_infomap(
     cfg = config or InfomapConfig()
     plan = plan_shards(store_dir, nranks)
     res = _launch(
-        _rank_program_shard, nranks, cfg, str(store_dir), plan,
-        n0=plan.num_vertices,
+        nranks, cfg, n0=plan.num_vertices, shard=(str(store_dir), plan),
         timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
     return _assemble_result(

@@ -39,7 +39,7 @@ from ..graph.delta import GraphDelta, apply_delta, dirty_region
 from ..graph.graph import Graph
 from ..obs.live import NULL_LIVE
 from .config import InfomapConfig
-from .distributed import distributed_infomap, warm_distributed_infomap
+from .distributed import distributed_infomap
 from .flow import FlowNetwork
 from .result import ClusteringResult
 from .sequential import sequential_infomap
@@ -255,7 +255,7 @@ class IncrementalSession:
                     self._views, patched, delta, self._part, network=net
                 )
             t_repair = time.perf_counter() - t1
-            res = warm_distributed_infomap(
+            res = distributed_infomap(
                 patched,
                 self.nranks,
                 cfg,

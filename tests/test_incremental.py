@@ -25,7 +25,6 @@ from repro import (
     InfomapConfig,
     distributed_infomap,
     sequential_infomap,
-    warm_distributed_infomap,
 )
 from repro.core.flow import FlowNetwork
 from repro.core.incremental import warm_seed_membership
@@ -264,7 +263,7 @@ class TestDistributedWarm:
         seed = warm_seed_membership(cold.membership, dirty)
         out = {}
         for backend in ("threads", "procs"):
-            out[backend] = warm_distributed_infomap(
+            out[backend] = distributed_infomap(
                 patched, 3, cfg,
                 seed_membership=seed, active=dirty, backend=backend,
             )
@@ -291,8 +290,14 @@ class TestDistributedWarm:
     def test_seed_shape_validated(self):
         g = _graph()
         with pytest.raises(ValueError, match="seed_membership"):
-            warm_distributed_infomap(
+            distributed_infomap(
                 g, 2, seed_membership=np.zeros(3, np.int64)
+            )
+        with pytest.raises(ValueError, match="active"):
+            distributed_infomap(
+                g, 2,
+                seed_membership=np.zeros(g.num_vertices, np.int64),
+                active=np.ones(3, dtype=bool),
             )
 
 

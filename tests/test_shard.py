@@ -152,7 +152,8 @@ class TestExternalInfomap:
         cfg = InfomapConfig(seed=3)
         views = reference_views(g, nranks)
         ref = run_spmd(_rank_program, nranks,
-                       fn_args=(views, cfg, g.num_vertices))
+                       fn_args=(cfg, g.num_vertices),
+                       fn_kwargs={"views": views})
         out = external_infomap(tmp_path / "s", nranks, cfg)
         m_ref = np.full(g.num_vertices, -1, np.int64)
         for rr in ref.results:
