@@ -160,7 +160,7 @@ DIST_CASES = {
             )
         )
         for flag in ("delta_swap", "full_module_info", "prune_inactive",
-                     "overlap")
+                     "overlap", "min_label")
     },
     "powerlaw-400-8-s5/rebalance/p=4": lambda: distributed_infomap(
         powerlaw_planted_partition(400, 8, mu=0.25, seed=5).graph, 4,
