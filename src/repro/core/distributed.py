@@ -102,96 +102,107 @@ def _score_candidates(
     *,
     li: int,
     current: int,
-    uniq: np.ndarray,
-    agg: np.ndarray,
+    mods: "list[int]",
+    flows: "list[float]",
     p_u: float,
     x_u: float,
+    d_old: "float | None" = None,
 ) -> "_Decision | None":
-    """Score the candidate modules in ``(uniq, agg)`` and pick a move.
+    """Score the candidate modules in ``(mods, flows)`` and pick a move.
 
-    ``uniq`` must be sorted unique module ids with ``agg`` the vertex's
-    link flow into each; the anti-bouncing rules of §3.4 are applied
-    here so both the low-degree sweep and the delegate-consensus path
-    behave identically.
+    ``mods`` must be the sorted unique module ids (a list) with
+    ``flows`` the vertex's link flow into each; ``d_old`` is the flow
+    into ``current`` when the caller already has it (looked up in
+    ``mods`` otherwise).  The anti-bouncing rules of §3.4 are applied
+    here so the low-degree sweep, its batched fallback and the
+    delegate-consensus path behave identically.
     """
-    get_q, get_p, get_n = state.table_getters()
-    pos = np.searchsorted(uniq, current)
-    d_old = float(agg[pos]) if pos < uniq.size and uniq[pos] == current else 0.0
+    get_qp, get_n = state.table_getters()
+    if d_old is None:
+        d_old = flows[mods.index(current)] if current in mods else 0.0
 
-    cand_mask = uniq != current
-    if cfg.min_label and boundary_mods:
-        # §3.4 minimum-label strategy (after Lu et al.): the bouncing
-        # failure is two vertices *swapping* communities in the same
-        # synchronized round, which (for strictly improving greedy
-        # moves) requires both sides to be singleton modules.  Such a
-        # merge is therefore only admitted toward the smaller module id
-        # when the target is a boundary community; one direction
-        # proceeds, the swap cannot.  All other moves stay unrestricted
-        # so mass is not ratcheted into small-id modules.
-        if get_n(current, 1) == 1:
-            for i in np.flatnonzero(cand_mask):
-                m = int(uniq[i])
-                if (
-                    m > current
-                    and m in boundary_mods
-                    and get_n(m, 1) == 1
-                ):
-                    cand_mask[i] = False
-    if not cand_mask.any():
+    # §3.4 minimum-label strategy (after Lu et al.): the bouncing
+    # failure is two vertices *swapping* communities in the same
+    # synchronized round, which (for strictly improving greedy moves)
+    # requires both sides to be singleton modules.  Such a merge is
+    # therefore only admitted toward the smaller module id when the
+    # target is a boundary community; one direction proceeds, the swap
+    # cannot.  All other moves stay unrestricted so mass is not
+    # ratcheted into small-id modules.
+    guard = bool(cfg.min_label and boundary_mods) and get_n(current, 1) == 1
+    cand: list[int] = []
+    cand_flow: list[float] = []
+    for m, f in zip(mods, flows):
+        if m == current or (
+            guard and m > current and m in boundary_mods
+            and get_n(m, 1) == 1
+        ):
+            continue
+        cand.append(m)
+        cand_flow.append(f)
+    if not cand:
         return None
-    cand = uniq[cand_mask]
-    cand_flow = agg[cand_mask]
 
     if cfg.move_rule == "max_flow":
         # GossipMap-family rule (§2.3): adopt the neighbouring module
         # that receives the most of this vertex's link flow, provided
         # it strictly beats the flow kept by the current module.  No
         # codelength is consulted.
-        best_idx = int(np.argmax(cand_flow))
-        best_flow = float(cand_flow[best_idx])
+        best_flow = max(cand_flow)
         if best_flow <= d_old + 1e-15:
             return None
         # Deterministic tie-break toward the smaller module id.
-        tied = np.flatnonzero(cand_flow >= best_flow - 1e-15)
-        best_idx = int(tied[0])
+        best_idx = next(
+            i for i, f in enumerate(cand_flow) if f >= best_flow - 1e-15
+        )
         return _Decision(
-            local_idx=li, current=current, target=int(cand[best_idx]),
+            local_idx=li, current=current, target=cand[best_idx],
             delta=0.0, p_u=p_u, x_u=x_u, d_old=d_old,
-            d_new=float(cand_flow[best_idx]),
+            d_new=cand_flow[best_idx],
         )
 
-    q_old = get_q(current, 0.0)
-    p_old = get_p(current, 0.0)
+    q_old, p_old = get_qp(current)
 
-    # Scalar math (math.log2) beats numpy temporaries by ~10x on the
-    # 2-8 candidate modules a real vertex has; the vectorized kernel in
-    # mapequation remains the reference the tests cross-check against.
-    # (The sequential scorer keeps np.log2: it must match the batch
-    # kernel's deltas bit for bit, and math.log2 differs in the last bit.)
+    # math.log2, not np.log2: these deltas must reproduce the pinned
+    # golden digests bit for bit, and the two differ in the last bit on
+    # a small fraction of inputs on AVX-512 hosts.  Every plogp term is
+    # inlined as ``x * log2(x) if x > 1e-300 else 0.0`` (0·log0 = 0,
+    # negative dust clamped); the candidate-invariant terms are hoisted
+    # without changing any operation's operands or order.
     log2 = math.log2
     sum_exit = state.sum_exit_global
     q_old_after = q_old - x_u + 2.0 * d_old
-    p_old_after = p_old - p_u
+    a_old = q_old_after + (p_old - p_u)
+    b_old = q_old + p_old
     base_old = (
-        -2.0 * (_plogp_s(q_old_after, log2) - _plogp_s(q_old, log2))
-        + _plogp_s(q_old_after + p_old_after, log2)
-        - _plogp_s(q_old + p_old, log2)
+        -2.0 * (
+            (q_old_after * log2(q_old_after) if q_old_after > 1e-300
+             else 0.0)
+            - (q_old * log2(q_old) if q_old > 1e-300 else 0.0)
+        )
+        + (a_old * log2(a_old) if a_old > 1e-300 else 0.0)
+        - (b_old * log2(b_old) if b_old > 1e-300 else 0.0)
     )
-    ge = get_q
-    gp = get_p
+    pl_sum_exit = sum_exit * log2(sum_exit) if sum_exit > 1e-300 else 0.0
+    se_base = sum_exit + (q_old_after - q_old)
 
     deltas: list[float] = []
-    for m, d_new in zip(cand.tolist(), cand_flow.tolist()):
-        q_new = ge(m, 0.0)
-        p_new = gp(m, 0.0)
+    for m, d_new in zip(cand, cand_flow):
+        q_new, p_new = get_qp(m)
         q_new_after = q_new + x_u - 2.0 * d_new
-        se_after = sum_exit + (q_old_after - q_old) + (q_new_after - q_new)
+        se = se_base + (q_new_after - q_new)
+        a = q_new_after + p_new + p_u
+        b = q_new + p_new
         deltas.append(
-            _plogp_s(se_after, log2) - _plogp_s(sum_exit, log2)
+            (se * log2(se) if se > 1e-300 else 0.0) - pl_sum_exit
             + base_old
-            - 2.0 * (_plogp_s(q_new_after, log2) - _plogp_s(q_new, log2))
-            + _plogp_s(q_new_after + p_new + p_u, log2)
-            - _plogp_s(q_new + p_new, log2)
+            - 2.0 * (
+                (q_new_after * log2(q_new_after) if q_new_after > 1e-300
+                 else 0.0)
+                - (q_new * log2(q_new) if q_new > 1e-300 else 0.0)
+            )
+            + (a * log2(a) if a > 1e-300 else 0.0)
+            - (b * log2(b) if b > 1e-300 else 0.0)
         )
 
     best_idx = min(range(len(deltas)), key=deltas.__getitem__)
@@ -199,7 +210,7 @@ def _score_candidates(
     if best_delta >= -cfg.min_improvement:
         return None
 
-    target = int(cand[best_idx])
+    target = cand[best_idx]
     if cfg.min_label and target in boundary_mods:
         # Near-ties also break toward the minimum label, so that two
         # ranks scoring the same vertex pick the same winner.
@@ -208,17 +219,12 @@ def _score_candidates(
                 best_idx = i
                 break
         best_delta = deltas[best_idx]
-        target = int(cand[best_idx])
+        target = cand[best_idx]
 
     return _Decision(
         local_idx=li, current=current, target=target, delta=best_delta,
-        p_u=p_u, x_u=x_u, d_old=d_old, d_new=float(cand_flow[best_idx]),
+        p_u=p_u, x_u=x_u, d_old=d_old, d_new=cand_flow[best_idx],
     )
-
-
-def _plogp_s(x: float, log2=math.log2) -> float:
-    """Scalar ``x log2 x`` with 0·log0 = 0 and negative-dust clamping."""
-    return x * log2(x) if x > 1e-300 else 0.0
 
 
 def _local_module_flows(
@@ -280,23 +286,27 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
 
     Everything else — vertices whose current/candidate modules were
     touched by an earlier commit in the *same chunk*, and gray-zone
-    margins/re-breaks — goes through the scalar ``_evaluate_move``, so
-    the committed decision sequence (and hence the table) is identical
-    to the scalar loop's, bitwise.  The certified-commit inequalities
-    are sound because the batch/scalar delta disagreement is strictly
-    below ``slack`` (numpy-vs-math.log2 ulps) plus the analytic drift
-    bound; flows/p_u/x_u/d_old are bitwise shared with the scalar path
-    via :func:`repro.core.kernels.aggregate_module_flows`, so a
-    certified commit applies exactly the scalar update.
+    margins/re-breaks — is re-scored exactly by
+    :func:`_score_candidates` against the live table, so the committed
+    decision sequence (and hence the table) is identical to the scalar
+    loop's, bitwise.  The re-score reads the chunk's cached segment
+    (``seg_mods``/``seg_flows``/``x_u``/``d_old``/``p_u``) when none of
+    the vertex's stored neighbours committed earlier in the chunk — the
+    segment then equals a fresh aggregation bitwise, by the
+    :func:`repro.core.kernels.aggregate_module_flows` contract; hub and
+    ghost memberships cannot change during a sweep — and re-aggregates
+    through :func:`_evaluate_move` otherwise.  The certified-commit
+    inequalities are sound because the batch/scalar delta disagreement
+    is strictly below ``slack`` (numpy-vs-math.log2 ulps) plus the
+    analytic drift bound.
 
     Moves go through ``level.commit``; returns the edge-scan work.
-    ``level.batch_touched`` is scratch (cleared before returning).
     """
     state = level.state
     cfg = level.cfg
     boundary_mods = level.bmods
-    touched = level.batch_touched
     lg = state.lg
+    indptr, nbr = lg.indptr, lg.nbr
     mi = cfg.min_improvement
     tie = cfg.tie_eps
     work = 0
@@ -326,7 +336,7 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
 
     for lo in range(0, act.size, bs):
         chunk = act[lo : lo + bs]
-        work += int(np.sum(lg.indptr[chunk + 1] - lg.indptr[chunk]))
+        work += int(np.sum(indptr[chunk + 1] - indptr[chunk]))
         snap = state.table_arrays()
         agg, score = score_block_table(
             state, snap, chunk, id_space=level.id_space,
@@ -340,30 +350,42 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
         margins = score.best_delta + mi
         if bool((margins >= _BATCH_STAY_SLACK).all()):
             continue  # whole chunk provably stays (zero drift yet)
-        dirty: list[int] = []
-        for i in range(chunk.size):
-            li = int(chunk[i])
-            cur = int(agg.current[i])
-            if dirty:
-                a = int(agg.seg_ptr[i])
-                b = int(agg.seg_ptr[i + 1])
-                affected = bool(touched[cur]) or (
-                    a < b and bool(touched[agg.seg_mods[a:b]].any())
-                )
-            else:
-                affected = False
+        # Modules whose aggregates a commit in this chunk changed, and
+        # the vertices committed in this chunk.
+        touched: set[int] = set()
+        movers: set[int] = set()
+        # Per-vertex reads below go through lists: numpy scalar access
+        # costs more than the decisions it feeds.
+        currents = agg.current.tolist()
+        margin_l = margins.tolist()
+        p_us = agg.p_u.tolist()
+        x_us = agg.x_u.tolist()
+        d_olds = agg.d_old.tolist()
+        seg_ptr = agg.seg_ptr.tolist()
+        seg_mods = agg.seg_mods.tolist()
+        seg_flows = agg.seg_flows.tolist()
+        targets = score.best_target.tolist()
+        d_news = score.best_d_new.tolist()
+        best_deltas = score.best_delta.tolist()
+        gaps = score.runner_gap.tolist()
+        for i, li in enumerate(chunk.tolist()):
+            cur = currents[i]
+            a = seg_ptr[i]
+            b = seg_ptr[i + 1]
             dec = None
-            if not affected:
+            if not touched or (
+                cur not in touched and touched.isdisjoint(seg_mods[a:b])
+            ):
                 s_now = state.sum_exit_global
                 e = drift_guard_bound(
-                    s_now - s_chunk, float(agg.x_u[i]), s_chunk, s_now
+                    s_now - s_chunk, x_us[i], s_chunk, s_now
                 ) + _BATCH_STAY_SLACK
-                margin = float(margins[i])
+                margin = margin_l[i]
                 if margin >= e:
                     continue  # certified stay
-                if margin <= -e and float(score.runner_gap[i]) >= 2.0 * e:
-                    tgt = int(score.best_target[i])
-                    d_new = float(score.best_d_new[i])
+                if margin <= -e and gaps[i] >= 2.0 * e:
+                    tgt = targets[i]
+                    d_new = d_news[i]
                     certified = True
                     if cfg.min_label and tgt in boundary_mods:
                         # Certify the near-tie re-break: the scalar
@@ -373,7 +395,7 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
                         ca = int(score.cand_ptr[i])
                         cb = int(score.cand_ptr[i + 1])
                         cd = score.cand_deltas[ca:cb]
-                        thresh = float(score.best_delta[i]) + tie
+                        thresh = best_deltas[i] + tie
                         j = int(np.argmax(cd <= thresh + 2.0 * e))
                         if int(score.cand_mods[ca + j]) == tgt:
                             pass  # re-break lands on the argmin itself
@@ -381,25 +403,30 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
                             tgt = int(score.cand_mods[ca + j])
                             d_new = float(score.cand_flows[ca + j])
                         else:
-                            certified = False  # gray zone: scalar decides
+                            certified = False  # gray zone: re-score
                     if certified:
                         dec = _Decision(
                             local_idx=li, current=cur, target=tgt,
-                            delta=float(score.best_delta[i]),
-                            p_u=float(agg.p_u[i]), x_u=float(agg.x_u[i]),
-                            d_old=float(agg.d_old[i]), d_new=d_new,
+                            delta=best_deltas[i], p_u=p_us[i],
+                            x_u=x_us[i], d_old=d_olds[i], d_new=d_new,
                         )
             if dec is None:
-                dec = _evaluate_move(state, li, cfg, boundary_mods)
+                if movers and not movers.isdisjoint(
+                    nbr[indptr[li] : indptr[li + 1]].tolist()
+                ):
+                    dec = _evaluate_move(state, li, cfg, boundary_mods)
+                else:
+                    dec = _score_candidates(
+                        state, cfg, boundary_mods, li=li, current=cur,
+                        mods=seg_mods[a:b], flows=seg_flows[a:b],
+                        p_u=p_us[i], x_u=x_us[i], d_old=d_olds[i],
+                    )
                 if dec is None:
                     continue
             level.commit(dec)
-            touched[dec.current] = True
-            touched[dec.target] = True
-            dirty.append(dec.current)
-            dirty.append(dec.target)
-        if dirty:
-            touched[np.asarray(dirty, dtype=np.int64)] = False
+            touched.add(dec.current)
+            touched.add(dec.target)
+            movers.add(li)
     return work
 
 
@@ -421,7 +448,7 @@ def _evaluate_move(
     return _score_candidates(
         state, cfg, boundary_mods,
         li=li, current=int(state.module_of[li]),
-        uniq=uniq, agg=agg,
+        mods=uniq.tolist(), flows=agg.tolist(),
         p_u=float(state.lg.flow[li]), x_u=x_u,
     )
 
@@ -571,6 +598,8 @@ class _Level:
     rng: np.random.Generator
     with_delegates: bool
     id_space: int
+    # Whether owned vertices sweep through the batch kernel.
+    batched: bool = field(init=False)
     # Layout.
     lg: LocalGraph
     state: LocalModuleState
@@ -586,9 +615,6 @@ class _Level:
     hub_dirty: np.ndarray = field(init=False)
     peer_keys: list[np.ndarray] = field(init=False)
     peer_flows: list[np.ndarray] = field(init=False)
-    # Module-touched flags for the batched sweep (cleared by the sweep
-    # itself); None when the batched sweep is off.
-    batch_touched: "np.ndarray | None" = field(init=False)
     # Results.
     own: Contribution = field(init=False)
     history: list[float] = field(init=False)
@@ -617,10 +643,8 @@ class _Level:
         self.hub_dirty = np.ones(self.lg.num_hubs, dtype=bool)
         self.peer_keys = [np.empty(0, np.int64) for _ in range(p)]
         self.peer_flows = [np.empty(0) for _ in range(p)]
-        cfg = self.cfg
-        use_batch = cfg.batch_size > 0 and cfg.move_rule == "map_equation"
-        self.batch_touched = (
-            np.zeros(self.id_space, dtype=bool) if use_batch else None
+        self.batched = (
+            self.cfg.batch_size > 0 and self.cfg.move_rule == "map_equation"
         )
 
     def relayout(self, outcome: Any = None) -> None:
@@ -710,7 +734,7 @@ class _Level:
 
     def _sweep(self, sub: np.ndarray) -> None:
         """Score and commit one sub-sweep of owned vertices."""
-        if self.batch_touched is not None and sub.size >= _BATCH_MIN_ACTIVE:
+        if self.batched and sub.size >= _BATCH_MIN_ACTIVE:
             self.sweep_work += _batched_local_sweep(self, sub)
             return
         indptr = self.lg.indptr
@@ -924,7 +948,7 @@ class _Level:
             dec = _score_candidates(
                 state, self.cfg, self.bmods,
                 li=hi, current=int(state.module_of[hi]),
-                uniq=mod_arr[a:b], agg=gf[a:b],
+                mods=mod_arr[a:b].tolist(), flows=gf[a:b].tolist(),
                 p_u=float(lg.flow[hi]), x_u=float(lg.exit0[hi]),
             )
             if dec is not None:
@@ -1000,11 +1024,18 @@ class _Level:
             return
         lg, C = self.lg, self.C
         lo = np.searchsorted(C.rev_targets, changed)
-        hi = np.searchsorted(C.rev_targets, changed + 1)
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            srcs = C.rev_sources[a:b]
-            self.active[srcs[srcs < lg.num_owned]] = True
-            self.hub_dirty[srcs[srcs >= lg.num_owned] - lg.num_owned] = True
+        deg = np.searchsorted(C.rev_targets, changed + 1) - lo
+        total = int(deg.sum())
+        if total == 0:
+            return
+        # One gather of every [lo, hi) run, as graph.gather_rows does.
+        run_start = np.cumsum(deg) - deg
+        srcs = C.rev_sources[
+            np.arange(total, dtype=np.int64) + np.repeat(lo - run_start, deg)
+        ]
+        owned = srcs < lg.num_owned
+        self.active[srcs[owned]] = True
+        self.hub_dirty[srcs[~owned] - lg.num_owned] = True
 
     def refresh(self, changed_ghosts: list[int]) -> Request:
         """Stage 6: this rank's contribution and next round's active set.

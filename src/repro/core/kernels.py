@@ -1,11 +1,16 @@
 """Batched move evaluation: score a whole block of vertices at once.
 
-The per-vertex kernels (:func:`repro.core.moves.score_vertex`, which
-``best_move`` wraps, and the distributed ``_evaluate_move``) pay a
-fixed interpreter cost per vertex — a neighbourhood aggregation plus,
-for the sequential scorer, a handful of numpy calls around its one
-``np.log2`` — so interpreter overhead, not arithmetic, dominates greedy
-sweeps.  This module evaluates every candidate move of a whole block of
+The per-vertex scorers (:func:`repro.core.moves.score_vertex`, which
+``best_move`` wraps, and the distributed ``_score_candidates``, which
+``_evaluate_move`` wraps) pay a fixed interpreter cost per vertex — a
+neighbourhood aggregation unless a block's cached segment is reused,
+then a handful of numpy calls around one ``np.log2`` (sequential) or a
+loop of ``math.log2`` calls (distributed) — so interpreter overhead,
+not arithmetic, dominates greedy sweeps.  The distributed scorer keeps
+``math.log2`` because its deltas must reproduce the pinned golden
+digests (``tests/golden/distributed.json``) bit for bit, and
+``np.log2`` differs from it in the last bit on some inputs (below).
+This module evaluates every candidate move of a whole block of
 vertices in O(1) numpy calls:
 
 1. gather the block's CSR adjacency slices in one shot
@@ -42,7 +47,9 @@ close.  Three empirically-verified numpy facts make that possible:
   match ``plogp``'s per-term calls bit for bit.  ``math.log2`` does
   *not* share this guarantee: it disagrees with ``np.log2`` in the last
   bit on a small fraction of inputs on AVX-512 hosts, so the sequential
-  path never uses it.  ``tests/test_kernels.py`` pins this fact.
+  path never uses it (and the distributed path, whose digests were
+  recorded with ``math.log2``, never switches to ``np.log2``).
+  ``tests/test_kernels.py`` pins this fact.
 
 Per-vertex totals ``x_u`` are summed over the *aggregated* per-module
 flows in ascending-module order (one more ``bincount``); the scalar
@@ -67,10 +74,11 @@ vertex's score in exactly two ways:
   :func:`drift_guard_bound`.  Decisions whose margin beats the bound
   (plus a float-noise slack when the two paths round differently) are
   provably identical to a fresh scalar evaluation; everything else
-  is re-scored exactly with ``score_vertex``, on the block's cached
+  is re-scored exactly (``score_vertex`` in the sequential sweep,
+  ``_score_candidates`` in the distributed one), on the block's cached
   segment when no neighbour of the vertex has moved since the block
   was scored (the segment then equals a fresh aggregation bitwise) and
-  on a fresh ``neighbor_module_flows`` aggregation otherwise.
+  on a fresh aggregation otherwise.
 
 At zero drift with no touched module the bound is exactly 0 and the
 decisions are bitwise-identical by construction — that is the case the

@@ -242,6 +242,16 @@ class ModuleTable:
         k = self.ids.size
         return float(self.sum_p[i]) if i < k else self._ov_sum_p[i - k]
 
+    def get_qp(self, mod_id: int) -> tuple[float, float]:
+        """``(get_q(m, 0.0), get_p(m, 0.0))`` with one position lookup."""
+        i = self._pos.get(mod_id)
+        if i is None:
+            return 0.0, 0.0
+        k = self.ids.size
+        if i < k:
+            return float(self.exit[i]), float(self.sum_p[i])
+        return self._ov_exit[i - k], self._ov_sum_p[i - k]
+
     def get_n(self, mod_id: int, default: int = 0) -> int:
         i = self._pos.get(mod_id)
         if i is None:
@@ -408,13 +418,14 @@ class LocalModuleState:
         return _TableColumnView(self._table, self._table.get_n)
 
     def table_getters(self):
-        """``(get_q, get_p, get_n)`` scalar accessors.
-
-        Each is called as ``get(mod_id, default)`` — the
+        """``(get_qp, get_n)`` scalar accessors — the
         :class:`ModuleTable` accessors, bound.
+
+        ``get_qp(mod_id)`` returns ``(q, p)`` (0.0 for an absent
+        module); ``get_n(mod_id, default)`` the member count.
         """
         t = self._table
-        return t.get_q, t.get_p, t.get_n
+        return t.get_qp, t.get_n
 
     # -- exact local facts --------------------------------------------------
     def contribution(self) -> Contribution:

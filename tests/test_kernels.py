@@ -1,12 +1,15 @@
 """Batch move-kernel: exact equivalence with the scalar paths.
 
 The batched engine in :mod:`repro.core.kernels` is *decision-equivalent
-by construction*: the sequential sweep guards snapshot scoring with a
-drift bound and falls back to the scalar evaluator whenever the bound
-cannot certify the decision, and the distributed sweep uses the batch
-scores only as a stay-prefilter.  These tests pin the contract down:
-same graph + same config (modulo ``batch_size``) must give *identical*
-memberships and *bitwise-identical* codelengths.
+by construction*: both the sequential and the distributed sweep commit
+batch decisions only where a drift bound certifies them, and re-score
+every other vertex exactly against the live module aggregates — on the
+chunk's cached neighbour-module segment when no neighbour of the vertex
+has moved since the chunk was scored, on a fresh aggregation otherwise.
+These tests pin the contract down: same graph + same config (modulo
+``batch_size``) must give *identical* memberships and
+*bitwise-identical* codelengths, and the cached-segment re-score must
+decide exactly as the fresh one.
 """
 
 import dataclasses
@@ -31,8 +34,10 @@ from repro.core import (
     score_vertex,
     sequential_infomap,
 )
+from repro.core.distributed import _evaluate_move, _score_candidates
+from repro.core.kernels import score_block_table
 from repro.core.mapequation import delta_codelength
-from repro.core.swap import TableArrays
+from repro.core.swap import LocalModuleState, TableArrays
 from repro.graph import (
     barabasi_albert,
     from_edges,
@@ -41,6 +46,7 @@ from repro.graph import (
     ring_of_cliques,
 )
 from repro.graph.graph import gather_rows
+from repro.partition import delegate_partition, local_views_delegate
 
 
 def _cfg(batch_size, **kw):
@@ -398,7 +404,8 @@ class TestDistributedEquivalence:
 
     def test_delegates_forced_low_d_high(self):
         # d_high=2 turns nearly every vertex into a hub with delegates,
-        # exercising the boundary/ghost-module paths of the prefilter.
+        # exercising the boundary/ghost-module paths of the batched
+        # sweep.
         g = powerlaw_planted_partition(300, 6, mu=0.25, seed=8).graph
         scalar = distributed_infomap(g, 4, _cfg(0, seed=2, d_high=2))
         batch = distributed_infomap(g, 4, _cfg(64, seed=2, d_high=2))
@@ -413,9 +420,98 @@ class TestDistributedEquivalence:
         assert batch.codelength == scalar.codelength
 
 
+def _decision_bits(dec):
+    """A ``_Decision`` as a tuple compared bitwise (floats as bytes)."""
+    if dec is None:
+        return None
+    return tuple(
+        _bits(v) if isinstance(v, float) else v
+        for v in dataclasses.astuple(dec)
+    )
+
+
+class TestCachedSegmentRescore:
+    """The batched distributed sweep's fallback contract: while none of
+    a vertex's stored neighbours has moved since its chunk was scored,
+    ``_score_candidates`` fed the chunk's ``score_block_table`` segment
+    returns exactly ``_evaluate_move``'s decision, field for field."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        k=st.integers(2, 6),
+        size=st.integers(4, 16),
+        min_label=st.booleans(),
+    )
+    def test_property_matches_evaluate_move_bitwise(
+        self, seed, k, size, min_label
+    ):
+        g = planted_partition(k, size, 0.5, 0.05, seed=seed).graph
+        assume(g.total_weight > 0)
+        net = FlowNetwork.from_graph(g)
+        n = g.num_vertices
+        lg = local_views_delegate(
+            net, delegate_partition(g, 1, d_high=n + 1)
+        )[0]
+        state = LocalModuleState(lg)
+        rng = np.random.default_rng(seed)
+        # Mostly singletons, the rest in random modules: the min-label
+        # rule (singleton into singleton) has work to do.
+        state.module_of = np.where(
+            rng.random(lg.num_local) < 0.6, lg.global_of,
+            rng.integers(0, n, size=lg.num_local),
+        ).astype(np.int64)
+        own = state.contribution()
+        state.rebuild_table(own, [])
+        state.sum_exit_global = own.total_exit()
+        mods = np.unique(state.module_of)
+        bmods = set(
+            rng.choice(mods, size=max(1, mods.size // 2), replace=False)
+            .tolist()
+        )
+        cfg = InfomapConfig(min_label=min_label)
+        # A few committed moves leave float dust in the table.
+        for li in rng.choice(lg.num_owned, size=n // 4, replace=False):
+            dec = _evaluate_move(state, int(li), cfg, bmods)
+            if dec is not None:
+                state.apply_local_move(
+                    dec.local_idx, dec.target, p_u=dec.p_u, x_u=dec.x_u,
+                    d_old=dec.d_old, d_new=dec.d_new,
+                )
+        block = rng.permutation(lg.num_owned).astype(np.int64)
+        agg, _ = score_block_table(
+            state, state.table_arrays(), block, id_space=n
+        )
+        # Walk the block as a chunk: commit every move, so later
+        # vertices are scored against a table the earlier ones changed.
+        movers: set[int] = set()
+        compared = 0
+        for i, li in enumerate(block.tolist()):
+            want = _evaluate_move(state, li, cfg, bmods)
+            nbrs, _ = lg.neighbors_of(li)
+            if movers.isdisjoint(nbrs.tolist()):
+                a, b = int(agg.seg_ptr[i]), int(agg.seg_ptr[i + 1])
+                got = _score_candidates(
+                    state, cfg, bmods, li=li, current=int(agg.current[i]),
+                    mods=agg.seg_mods[a:b].tolist(),
+                    flows=agg.seg_flows[a:b].tolist(),
+                    p_u=float(agg.p_u[i]), x_u=float(agg.x_u[i]),
+                    d_old=float(agg.d_old[i]),
+                )
+                assert _decision_bits(got) == _decision_bits(want), li
+                compared += 1
+            if want is not None:
+                state.apply_local_move(
+                    li, want.target, p_u=want.p_u, x_u=want.x_u,
+                    d_old=want.d_old, d_new=want.d_new,
+                )
+                movers.add(li)
+        assert compared > 0
+
+
 class TestBatchSmoke4Ranks:
     def test_batch_path_runs_under_four_ranks(self):
-        """Tier-1 smoke: the batched prefilter actually engages (block
+        """Tier-1 smoke: the batched sweep actually engages (block
         floor exceeded) and the run converges to a sane partition."""
         lg = powerlaw_planted_partition(600, 10, mu=0.2, seed=21)
         res = distributed_infomap(lg.graph, 4, _cfg(256, seed=1))

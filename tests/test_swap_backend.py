@@ -267,7 +267,7 @@ class TestApplyMoveBookkeeping:
         state.rebuild_table(state.contribution(), [])
         old = int(state.module_of[0])
         new = int(state.module_of[1])
-        get_q, get_p, get_n = state.table_getters()
+        _get_qp, get_n = state.table_getters()
         n_old, n_new = get_n(old, 0), get_n(new, 0)
         state.apply_local_move(
             0, new, p_u=0.01, x_u=0.01, d_old=0.0, d_new=0.005
