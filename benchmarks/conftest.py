@@ -5,9 +5,20 @@ its driver in ``repro.bench.experiments`` and prints the rendered rows
 (`pytest benchmarks/ --benchmark-only -s` shows them).  Drivers are
 deterministic, so a single measured round per benchmark suffices; the
 value under test is the experiment's *content*, the timing is a bonus.
+
+The throughput guards write their ``BENCH_*.json`` reports through the
+``bench_report_path`` fixture: to the repo root normally, and to the
+git-ignored ``.bench_work/smoke/`` under ``REPRO_BENCH_SMOKE=1``, so a
+smoke run never overwrites the committed full-profile reports.
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SMOKE_DIR = ROOT / ".bench_work" / "smoke"
 
 
 def pytest_collection_modifyitems(config, items):
@@ -43,3 +54,17 @@ def run_once(benchmark):
         )
 
     return _run
+
+
+@pytest.fixture
+def bench_report_path():
+    """``name -> Path`` where a guard writes its ``BENCH_*.json`` report."""
+    smoke = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+
+    def _path(name: str) -> Path:
+        if not smoke:
+            return ROOT / name
+        SMOKE_DIR.mkdir(parents=True, exist_ok=True)
+        return SMOKE_DIR / name
+
+    return _path

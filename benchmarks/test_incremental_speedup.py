@@ -38,7 +38,6 @@ smoke, where fixed per-call overheads dominate the tiny solve).
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +209,7 @@ def incremental_speedup() -> dict:
 
 
 @pytest.mark.incremental_guard
-def test_incremental_speedup(run_once):
+def test_incremental_speedup(run_once, bench_report_path):
     out = run_once(incremental_speedup)
     print("\n" + out["text"])
     assert len(out["rows"]) == NUM_BATCHES
@@ -239,5 +238,4 @@ def test_incremental_speedup(run_once):
             f"band is {QUALITY_BAND}"
         )
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_incremental.json")
+    result_to_json(out, bench_report_path("BENCH_incremental.json"))

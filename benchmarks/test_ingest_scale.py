@@ -295,7 +295,7 @@ def ingest_scale() -> dict:
 
 
 @pytest.mark.ingest_guard
-def test_ingest_scale(run_once):
+def test_ingest_scale(run_once, bench_report_path):
     out = run_once(ingest_scale)
     print("\n" + out["text"])
     parse_row, build_row, cluster_row = out["rows"]
@@ -318,5 +318,4 @@ def test_ingest_scale(run_once):
             f"(shard {row['shard_csr_bytes']:,} bytes)"
         )
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_ingest.json")
+    result_to_json(out, bench_report_path("BENCH_ingest.json"))

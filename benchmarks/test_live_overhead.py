@@ -21,7 +21,6 @@ stamp (cpu count / load average) the cross-run report relies on.
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,14 +90,14 @@ def live_overhead() -> dict:
 
 
 @pytest.mark.live_guard
-def test_live_overhead(run_once):
+def test_live_overhead(run_once, bench_report_path):
     out = run_once(live_overhead)
     print("\n" + out["text"])
     assert out["identical"], "live publishing changed the clustering"
     live_row = out["rows"][1]
     assert live_row["overhead"] <= MAX_OVERHEAD, live_row
 
-    path = Path(__file__).resolve().parents[1] / "BENCH_live.json"
+    path = bench_report_path("BENCH_live.json")
     result_to_json(out, path)
     # The host stamp must land in the report: cross-host comparisons of
     # a wall-clock ratio are meaningless without cpus/load context.

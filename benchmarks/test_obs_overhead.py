@@ -17,7 +17,6 @@ Results land in ``BENCH_obs.json`` at the repo root.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,15 +94,14 @@ def obs_overhead() -> dict:
 
 
 @pytest.mark.obs_guard
-def test_obs_overhead(run_once):
+def test_obs_overhead(run_once, bench_report_path):
     out = run_once(obs_overhead)
     print("\n" + out["text"])
     assert out["identical"], "tracing changed the clustering outcome"
     traced_row = out["rows"][1]
     assert traced_row["overhead"] <= MAX_OVERHEAD, traced_row
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_obs.json")
+    result_to_json(out, bench_report_path("BENCH_obs.json"))
 
 
 @pytest.mark.obs_guard

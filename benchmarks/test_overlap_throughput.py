@@ -22,7 +22,6 @@ finishes quickly.
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +139,7 @@ def overlap_throughput() -> dict:
 
 
 @pytest.mark.overlap_guard
-def test_overlap_throughput(run_once):
+def test_overlap_throughput(run_once, bench_report_path):
     out = run_once(overlap_throughput)
     print("\n" + out["text"])
     assert out["identical"], "overlap mode changed the clustering"
@@ -148,7 +147,7 @@ def test_overlap_throughput(run_once):
 
     # The report (with its honest host stamp) lands before any skip, so
     # single-core hosts still contribute a data point.
-    path = Path(__file__).resolve().parents[1] / "BENCH_overlap.json"
+    path = bench_report_path("BENCH_overlap.json")
     result_to_json(out, path)
     data = json.loads(path.read_text())
     assert data["host"]["cpus"] >= 1

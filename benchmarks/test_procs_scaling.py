@@ -31,7 +31,6 @@ uses; equivalence is asserted either way.
 import os
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +124,7 @@ def procs_scaling() -> dict:
 
 
 @pytest.mark.procs_guard
-def test_procs_scaling(run_once):
+def test_procs_scaling(run_once, bench_report_path):
     out = run_once(procs_scaling)
     print("\n" + out["text"])
     assert out["membership_equal"], (
@@ -138,8 +137,7 @@ def test_procs_scaling(run_once):
         "per-phase logical ledger totals diverged across backends"
     )
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_procs.json")
+    result_to_json(out, bench_report_path("BENCH_procs.json"))
 
     if out["cpus"] < NRANKS:
         pytest.skip(

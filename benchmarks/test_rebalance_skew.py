@@ -29,7 +29,6 @@ way.
 """
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +165,7 @@ def rebalance_skew() -> dict:
 
 
 @pytest.mark.rebalance_guard
-def test_rebalance_skew(run_once):
+def test_rebalance_skew(run_once, bench_report_path):
     out = run_once(rebalance_skew)
     print("\n" + out["text"])
     off, on = out["rows"]
@@ -184,5 +183,4 @@ def test_rebalance_skew(run_once):
     assert on["rebalance_bytes_physical"] > 0
     assert on["rebalance_bytes_logical"] > 0
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_rebalance.json")
+    result_to_json(out, bench_report_path("BENCH_rebalance.json"))

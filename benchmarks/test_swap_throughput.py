@@ -14,7 +14,6 @@ churn schedule must end in bitwise-equal tables.  Results land in
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,11 +138,10 @@ def swap_throughput() -> dict:
 
 
 @pytest.mark.throughput_guard
-def test_swap_throughput(run_once):
+def test_swap_throughput(run_once, bench_report_path):
     out = run_once(swap_throughput)
     print("\n" + out["text"])
     assert out["deterministic"], "identical schedule diverged across runs"
     assert all(r["rounds_per_s"] > 0 for r in out["rows"])
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_swap.json")
+    result_to_json(out, bench_report_path("BENCH_swap.json"))

@@ -10,7 +10,6 @@ root for trend tracking.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +79,7 @@ def sweep_throughput() -> dict:
 
 
 @pytest.mark.throughput_guard
-def test_sweep_throughput(run_once):
+def test_sweep_throughput(run_once, bench_report_path):
     out = run_once(sweep_throughput)
     print("\n" + out["text"])
     rows = out["rows"]
@@ -96,5 +95,4 @@ def test_sweep_throughput(run_once):
     default_row = next(r for r in batches if r["batch_size"] == default_bs)
     assert default_row["speedup"] >= MIN_SPEEDUP, default_row
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_sweep.json")
+    result_to_json(out, bench_report_path("BENCH_sweep.json"))

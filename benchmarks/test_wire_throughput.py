@@ -23,7 +23,6 @@ Results land in ``BENCH_wire.json`` at the repo root;
 
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,12 +219,11 @@ def wire_throughput() -> dict:
 
 
 @pytest.mark.throughput_guard
-def test_wire_throughput(run_once):
+def test_wire_throughput(run_once, bench_report_path):
     out = run_once(wire_throughput)
     print("\n" + out["text"])
     assert out["moves_match_schedule"], "ranks applied the wrong moves"
     assert out["checksums_match_schedule"], (
         "decoded values diverged from the payload schedule"
     )
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_wire.json")
+    result_to_json(out, bench_report_path("BENCH_wire.json"))

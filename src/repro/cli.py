@@ -634,9 +634,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import time
 
-    from .bench.export import peak_rss_bytes
     from .graph import edgelist_to_store, metis_to_store, snap_to_store
     from .graph.io import DEFAULT_CHUNK_BYTES
+    from .obs.rss import peak_rss_bytes
 
     chunk = args.chunk_bytes or DEFAULT_CHUNK_BYTES
     t0 = time.perf_counter()

@@ -43,6 +43,7 @@ import numpy as np
 from ..graph.builder import from_edge_array
 from ..graph.graph import Graph
 from ..obs.log import get_logger
+from ..obs.rss import current_rss_bytes, peak_rss_bytes
 from ..partition.delegates import delegate_partition
 from ..partition.distgraph import LocalGraph, build_local_graphs, local_views_1d
 from ..partition.oned import OneDPartition
@@ -83,7 +84,7 @@ log = get_logger("core.distributed")
 # Move evaluation against the swap-maintained table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Decision:
     local_idx: int
     current: int
@@ -117,7 +118,7 @@ def _score_candidates(
     here so the low-degree sweep, its batched fallback and the
     delegate-consensus path behave identically.
     """
-    get_qp, get_n = state.table_getters()
+    records = state.table_records
     if d_old is None:
         d_old = flows[mods.index(current)] if current in mods else 0.0
 
@@ -129,13 +130,14 @@ def _score_candidates(
     # target is a boundary community; one direction proceeds, the swap
     # cannot.  All other moves stay unrestricted so mass is not
     # ratcheted into small-id modules.
-    guard = bool(cfg.min_label and boundary_mods) and get_n(current, 1) == 1
+    q_old, p_old, n_old, pl_q_old, pl_b_old = records[current]
+    guard = bool(cfg.min_label and boundary_mods) and n_old == 1
     cand: list[int] = []
     cand_flow: list[float] = []
     for m, f in zip(mods, flows):
         if m == current or (
             guard and m > current and m in boundary_mods
-            and get_n(m, 1) == 1
+            and records[m][2] == 1
         ):
             continue
         cand.append(m)
@@ -161,48 +163,46 @@ def _score_candidates(
             d_new=cand_flow[best_idx],
         )
 
-    q_old, p_old = get_qp(current)
-
     # math.log2, not np.log2: these deltas must reproduce the pinned
     # golden digests bit for bit, and the two differ in the last bit on
     # a small fraction of inputs on AVX-512 hosts.  Every plogp term is
     # inlined as ``x * log2(x) if x > 1e-300 else 0.0`` (0·log0 = 0,
     # negative dust clamped); the candidate-invariant terms are hoisted
-    # without changing any operation's operands or order.
+    # and the two module-only terms, ``plogp(q)`` and ``plogp(q + p)``,
+    # come from the table's cached record, without changing any
+    # operation's operands or order.
     log2 = math.log2
     sum_exit = state.sum_exit_global
     q_old_after = q_old - x_u + 2.0 * d_old
     a_old = q_old_after + (p_old - p_u)
-    b_old = q_old + p_old
     base_old = (
         -2.0 * (
             (q_old_after * log2(q_old_after) if q_old_after > 1e-300
              else 0.0)
-            - (q_old * log2(q_old) if q_old > 1e-300 else 0.0)
+            - pl_q_old
         )
         + (a_old * log2(a_old) if a_old > 1e-300 else 0.0)
-        - (b_old * log2(b_old) if b_old > 1e-300 else 0.0)
+        - pl_b_old
     )
     pl_sum_exit = sum_exit * log2(sum_exit) if sum_exit > 1e-300 else 0.0
     se_base = sum_exit + (q_old_after - q_old)
 
     deltas: list[float] = []
     for m, d_new in zip(cand, cand_flow):
-        q_new, p_new = get_qp(m)
+        q_new, p_new, _n, pl_q, pl_b = records[m]
         q_new_after = q_new + x_u - 2.0 * d_new
         se = se_base + (q_new_after - q_new)
         a = q_new_after + p_new + p_u
-        b = q_new + p_new
         deltas.append(
             (se * log2(se) if se > 1e-300 else 0.0) - pl_sum_exit
             + base_old
             - 2.0 * (
                 (q_new_after * log2(q_new_after) if q_new_after > 1e-300
                  else 0.0)
-                - (q_new * log2(q_new) if q_new > 1e-300 else 0.0)
+                - pl_q
             )
             + (a * log2(a) if a > 1e-300 else 0.0)
-            - (b * log2(b) if b > 1e-300 else 0.0)
+            - pl_b
         )
 
     best_idx = min(range(len(deltas)), key=deltas.__getitem__)
@@ -1355,10 +1355,9 @@ def _load_shard(
     backend a child's peak-RSS counter resets to the fork-time RSS, so
     ``peak - rss_before`` isolates shard-driven growth.
     """
-    # Lazy imports: partition/__init__ imports shard, which reaches back
+    # Lazy import: partition/__init__ imports shard, which reaches back
     # into core.timing — a module-level import here would close the
     # cycle against a partially-initialized module.
-    from ..bench.export import current_rss_bytes, peak_rss_bytes
     from ..partition.shard import load_shard
 
     rss_before = current_rss_bytes()

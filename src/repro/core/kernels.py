@@ -26,7 +26,8 @@ Exactness contract
 
 The sequential consumer commits batch decisions directly, so the batch
 numbers must be **bitwise identical** to the scalar path's, not merely
-close.  Three empirically-verified numpy facts make that possible:
+close.  Three empirically-verified numpy facts make that possible, and
+the fourth bullet follows from them:
 
 * ``np.bincount(inv, weights=w)`` accumulates each bin's partial sum
   sequentially in entry order (it matches a Python ``+=`` loop to the
@@ -50,6 +51,15 @@ close.  Three empirically-verified numpy facts make that possible:
   path never uses it (and the distributed path, whose digests were
   recorded with ``math.log2``, never switches to ``np.log2``).
   ``tests/test_kernels.py`` pins this fact.
+* Two candidates of one vertex whose ``(q, p, d_new)`` are bitwise
+  equal get bitwise-equal deltas on every path — the batch kernel, the
+  sequential ``score_vertex`` and the distributed ``_score_candidates``
+  each evaluate one fixed expression on the same operands — so the
+  first-argmin rule resolves their tie to the same module everywhere.
+  :func:`score_block` therefore measures ``runner_gap`` to the best
+  candidate whose inputs are *not* bitwise equal to the argmin's
+  (compared as int64 bit patterns, only for vertices whose plain gap
+  is exactly 0); a certification against that gap holds on every path.
 
 Per-vertex totals ``x_u`` are summed over the *aggregated* per-module
 flows in ascending-module order (one more ``bincount``); the scalar
@@ -173,9 +183,9 @@ class BlockScore:
 
     ``best_delta`` is ``+inf`` for vertices with no candidate target
     (then ``best_target == current``).  ``runner_gap`` is the delta gap
-    to the second-best candidate (``+inf`` when there is none) — the
-    quantity the drift guard needs to certify that the argmin cannot
-    have flipped.
+    to the best candidate whose ``(q, p, d_new)`` are not bitwise the
+    argmin's (``+inf`` when there is none) — the quantity the drift
+    guard needs to certify that the argmin cannot have flipped.
 
     When scored with ``keep_candidates=True`` the per-candidate arrays
     are retained: ``cand_mods[cand_ptr[i]:cand_ptr[i+1]]`` are vertex
@@ -314,12 +324,14 @@ def score_block(
     cown = agg.seg_owner[cand]
     cmods = agg.seg_mods[cand]
     cflow = agg.seg_flows[cand]
+    cq = q_seg[cand]
+    cp = p_seg[cand]
     deltas = delta_from_values(
         sum_exit=sum_exit,
         q_old=q_old[cown],
         p_old=p_old[cown],
-        q_new=q_seg[cand],
-        p_new=p_seg[cand],
+        q_new=cq,
+        p_new=cp,
         p_u=agg.p_u[cown],
         x_u=agg.x_u[cown],
         d_old=agg.d_old[cown],
@@ -344,7 +356,22 @@ def score_block(
     best_d_new[nz] = cflow[first]
     masked = deltas.copy()
     masked[first] = np.inf
-    runner_gap[nz] = np.minimum.reduceat(masked, starts) - mins
+    gaps = np.minimum.reduceat(masked, starts) - mins
+    tied = gaps == 0.0
+    if bool(tied.any()):
+        # A candidate whose (q, p, d_new) are bitwise the argmin's gets
+        # a bitwise-equal delta on every path, so the first-argmin rule
+        # picks the argmin everywhere: measure the gap past such
+        # candidates instead (module docs, exactness contract).
+        sel = np.flatnonzero(np.repeat(tied, counts[nz]))
+        ref = np.repeat(first, counts[nz])[sel]
+        same = np.ones(sel.size, dtype=bool)
+        for col in (cq, cp, cflow):
+            bits = col.view(np.int64)
+            same &= bits[sel] == bits[ref]
+        masked[sel[same]] = np.inf
+        gaps[tied] = np.minimum.reduceat(masked, starts)[tied] - mins[tied]
+    runner_gap[nz] = gaps
     if keep_candidates:
         return BlockScore(
             best_target, best_delta, best_d_new, runner_gap,

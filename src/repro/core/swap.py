@@ -47,6 +47,7 @@ the last bit regardless of rank count or transport — the same fact
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -161,6 +162,44 @@ class Contribution:
         return float(self.exit.sum())
 
 
+class _ModuleRecords(dict):
+    """``{module id → (q, p, n, plogp(q), plogp(q + p))}``, filled lazily.
+
+    A hit is a plain dict lookup; a miss computes the record from the
+    table's columns and stores it.  An absent module reads as
+    ``(0.0, 0.0, 1, 0.0, 0.0)``.  Each ``plogp`` is
+    ``x * log2(x) if x > 1e-300 else 0.0`` with ``math.log2`` and
+    ``q + p`` added in that order — the scorer's inline form, so a
+    cached term is bitwise the term it replaces.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "ModuleTable") -> None:
+        super().__init__()
+        self._table = table
+
+    def __missing__(
+        self, mod_id: int
+    ) -> tuple[float, float, int, float, float]:
+        t = self._table
+        i = t._pos.get(mod_id)
+        if i is None:
+            # Zero aggregates, and a member count of 1: the min-label
+            # rule treats an unknown module as a singleton.
+            rec = (0.0, 0.0, 1, 0.0, 0.0)
+        else:
+            q, p, n = t._read(i)
+            b = q + p
+            rec = (
+                q, p, n,
+                q * math.log2(q) if q > 1e-300 else 0.0,
+                b * math.log2(b) if b > 1e-300 else 0.0,
+            )
+        self[mod_id] = rec
+        return rec
+
+
 class ModuleTable:
     """Live array-backed module table: sorted base + overflow buffer.
 
@@ -173,6 +212,13 @@ class ModuleTable:
     ``{module id → slot}`` dict gives O(1) scalar lookups; slots
     ``>= ids.size`` index the overflow.
 
+    ``records[m]`` is ``(q, p, n, plogp(q), plogp(q + p))`` of module
+    ``m``, cached for the distributed scalar scorer (see
+    :class:`_ModuleRecords`).  A record is filled on its first read
+    after a write: ``apply_move`` drops the records of the two modules
+    it writes, and ``reset`` (every rebuild and ``compact``) drops them
+    all, so no record outlives a round.
+
     In-place mutation of the base columns is deliberate: the batch
     sweep's :class:`TableArrays` "snapshot" of this table is live, and
     the sweep's certification logic only trusts snapshot entries whose
@@ -182,10 +228,11 @@ class ModuleTable:
 
     __slots__ = (
         "ids", "exit", "sum_p", "members", "_pos",
-        "_ov_ids", "_ov_exit", "_ov_sum_p", "_ov_members",
+        "_ov_ids", "_ov_exit", "_ov_sum_p", "_ov_members", "records",
     )
 
     def __init__(self) -> None:
+        self.records = _ModuleRecords(self)
         self.reset(_EMPTY_I64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64)
 
     def __len__(self) -> int:
@@ -211,6 +258,7 @@ class ModuleTable:
         self._ov_exit: list[float] = []
         self._ov_sum_p: list[float] = []
         self._ov_members: list[int] = []
+        self.records.clear()
 
     def compact(self) -> None:
         """Merge the overflow buffer into the sorted base columns."""
@@ -241,16 +289,6 @@ class ModuleTable:
             return default
         k = self.ids.size
         return float(self.sum_p[i]) if i < k else self._ov_sum_p[i - k]
-
-    def get_qp(self, mod_id: int) -> tuple[float, float]:
-        """``(get_q(m, 0.0), get_p(m, 0.0))`` with one position lookup."""
-        i = self._pos.get(mod_id)
-        if i is None:
-            return 0.0, 0.0
-        k = self.ids.size
-        if i < k:
-            return float(self.exit[i]), float(self.sum_p[i])
-        return self._ov_exit[i - k], self._ov_sum_p[i - k]
 
     def get_n(self, mod_id: int, default: int = 0) -> int:
         i = self._pos.get(mod_id)
@@ -321,6 +359,8 @@ class ModuleTable:
             q_new, p_new, n_new = self._read(i_new)
         q_old_after = q_old - x_u + 2.0 * d_old
         q_new_after = q_new + x_u - 2.0 * d_new
+        self.records.pop(old, None)
+        self.records.pop(new, None)
         self._write(io, q_old_after, p_old - p_u, n_old - 1)
         if i_new is None:
             self.insert(new, q_new_after, p_new + p_u, n_new + 1)
@@ -417,15 +457,10 @@ class LocalModuleState:
     def table_members(self) -> _TableColumnView:
         return _TableColumnView(self._table, self._table.get_n)
 
-    def table_getters(self):
-        """``(get_qp, get_n)`` scalar accessors — the
-        :class:`ModuleTable` accessors, bound.
-
-        ``get_qp(mod_id)`` returns ``(q, p)`` (0.0 for an absent
-        module); ``get_n(mod_id, default)`` the member count.
-        """
-        t = self._table
-        return t.get_qp, t.get_n
+    @property
+    def table_records(self) -> _ModuleRecords:
+        """The table's lazily filled module records (read-only use)."""
+        return self._table.records
 
     # -- exact local facts --------------------------------------------------
     def contribution(self) -> Contribution:

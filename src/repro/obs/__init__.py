@@ -12,7 +12,9 @@ that instrumentation:
   Perfetto / ``chrome://tracing`` load with one track per rank;
 * :mod:`repro.obs.manifest` — provenance (config, seeds, ranks, codec,
   versions, graph fingerprint);
-* :mod:`repro.obs.log` — rank-aware stdlib logging (off by default).
+* :mod:`repro.obs.log` — rank-aware stdlib logging (off by default);
+* :mod:`repro.obs.rss` — resident-set-size probes that rank programs
+  sample without importing the experiment harness.
 
 Quick start::
 

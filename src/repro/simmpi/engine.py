@@ -26,6 +26,7 @@ from typing import Any, Callable, Sequence
 
 from ..obs.live import STATUS_DONE, STATUS_FAILED, LiveSnapshot
 from ..obs.log import get_logger
+from ..obs.rss import peak_rss_bytes
 from .errors import AbortError, DeadlockError
 from .serial import SerialCommunicator
 from .stats import CommLedger
@@ -35,16 +36,6 @@ __all__ = ["SpmdResult", "run_spmd", "BACKENDS"]
 
 log = get_logger("simmpi.engine")
 
-
-def _process_peak_rss() -> int:
-    """Whole-process peak RSS, for the shared-address-space backends.
-
-    Lazy import: ``repro.bench`` pulls in ``repro.core`` which imports
-    this module — a top-level import would see a half-built package.
-    """
-    from ..bench.export import peak_rss_bytes
-
-    return peak_rss_bytes()
 
 #: Valid values for :func:`run_spmd`'s ``backend``.
 BACKENDS = ("threads", "procs", "serial")
@@ -217,7 +208,7 @@ def run_spmd(
         return SpmdResult(
             results=[value], ledger=comm.ledger,
             trace=tracer if tracing else None,
-            peak_rss=[_process_peak_rss()],
+            peak_rss=[peak_rss_bytes()],
         )
 
     if backend == "procs":
@@ -349,5 +340,5 @@ def run_spmd(
         results=[o.value for o in outcomes], ledger=ctx.ledger,
         trace=tracer if tracing else None,
         # One address space: every rank reports the shared process peak.
-        peak_rss=[_process_peak_rss()] * nranks,
+        peak_rss=[peak_rss_bytes()] * nranks,
     )

@@ -52,6 +52,7 @@ from typing import Any, Callable, Sequence
 
 from ..obs.live import STATUS_DONE, STATUS_FAILED
 from ..obs.log import get_logger
+from ..obs.rss import peak_rss_bytes
 from ..obs.trace import RankTraceBuffer
 from .collectives import CollectiveOpsMixin
 from .comm import ANY_SOURCE, ANY_TAG, Communicator
@@ -450,10 +451,7 @@ def _spmd_proc_main(
     buf = comm.stats.trace
     trace_payload = (buf.events, buf._cum) if tracing else None
     # Sample this child's own high-water mark last, so the number
-    # covers the whole rank program.  Lazy import: repro.bench reaches
-    # repro.core which imports this package.
-    from ..bench.export import peak_rss_bytes
-
+    # covers the whole rank program.
     _ship_result(
         result_q, rank, status, value, err, comm.stats.snapshot(),
         trace_payload, peak_rss_bytes(),

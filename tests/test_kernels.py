@@ -34,8 +34,12 @@ from repro.core import (
     score_vertex,
     sequential_infomap,
 )
-from repro.core.distributed import _evaluate_move, _score_candidates
-from repro.core.kernels import score_block_table
+from repro.core.distributed import (
+    _BATCH_STAY_SLACK,
+    _evaluate_move,
+    _score_candidates,
+)
+from repro.core.kernels import BlockAggregates, score_block, score_block_table
 from repro.core.mapequation import delta_codelength
 from repro.core.swap import LocalModuleState, TableArrays
 from repro.graph import (
@@ -136,6 +140,46 @@ class TestAggregateBlockFlows:
             assert int(score.best_target[i]) == int(
                 mods[cand][int(np.argmin(deltas))]
             )
+
+
+    def test_runner_gap_skips_input_identical_ties(self):
+        # Vertex 0 (module 0) has three candidates: modules 1 and 2 with
+        # bitwise-equal (q, p, d_new) and module 3 with less flow.
+        # Vertex 1 (module 5) has two distinct candidates, no tie.
+        agg = BlockAggregates(
+            block=np.array([0, 1], dtype=np.int64),
+            current=np.array([0, 5], dtype=np.int64),
+            p_u=np.array([0.1, 0.05]),
+            x_u=np.array([0.75, 0.4]),
+            d_old=np.array([0.05, 0.1]),
+            seg_ptr=np.array([0, 4, 7], dtype=np.int64),
+            seg_owner=np.array([0, 0, 0, 0, 1, 1, 1], dtype=np.int64),
+            seg_mods=np.array([0, 1, 2, 3, 5, 6, 7], dtype=np.int64),
+            seg_flows=np.array([0.05, 0.3, 0.3, 0.1, 0.1, 0.2, 0.1]),
+        )
+        q_seg = np.array([0.2, 0.15, 0.15, 0.15, 0.1, 0.12, 0.3])
+        p_seg = np.array([0.3, 0.25, 0.25, 0.25, 0.2, 0.2, 0.3])
+
+        def score(q):
+            return score_block(
+                agg, q_seg=q, p_seg=p_seg,
+                q_old=np.array([0.2, 0.1]), p_old=np.array([0.3, 0.2]),
+                sum_exit=1.0, keep_candidates=True,
+            )
+
+        sc = score(q_seg)
+        d1, d2, d3, e6, e7 = sc.cand_deltas.tolist()
+        assert _bits(d1) == _bits(d2) and d3 > d1
+        assert int(sc.best_target[0]) == 1  # first argmin of the tie
+        # The gap is measured to module 3, past the identical module 2.
+        assert _bits(float(sc.runner_gap[0])) == _bits(d3 - d1)
+        assert _bits(float(sc.runner_gap[1])) == _bits(abs(e7 - e6))
+        # One ulp apart, the two are no longer input-identical: the gap
+        # is theirs again, far too small to certify a commit.
+        nudged = q_seg.copy()
+        nudged[2] = np.nextafter(nudged[2], 1.0)
+        gap = float(score(nudged).runner_gap[0])
+        assert 0.0 <= gap < 2.0 * _BATCH_STAY_SLACK
 
 
 def _bits(x: float) -> bytes:
@@ -392,15 +436,22 @@ class TestDistributedEquivalence:
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     @pytest.mark.parametrize("min_label", [True, False])
     def test_identical_membership_and_codelength(self, nranks, min_label):
-        g = planted_partition(5, 20, 0.4, 0.02, seed=3).graph
-        scalar = distributed_infomap(
-            g, nranks, _cfg(0, seed=5, min_label=min_label)
-        )
-        batch = distributed_infomap(
-            g, nranks, _cfg(256, seed=5, min_label=min_label)
-        )
-        np.testing.assert_array_equal(batch.membership, scalar.membership)
-        assert batch.codelength == scalar.codelength  # bitwise
+        # The ring of cliques sends clique-mates with bitwise-equal
+        # candidate inputs through the batch kernel's tie rule.
+        for g in (
+            planted_partition(5, 20, 0.4, 0.02, seed=3).graph,
+            ring_of_cliques(40, 6).graph,
+        ):
+            scalar = distributed_infomap(
+                g, nranks, _cfg(0, seed=5, min_label=min_label)
+            )
+            batch = distributed_infomap(
+                g, nranks, _cfg(256, seed=5, min_label=min_label)
+            )
+            np.testing.assert_array_equal(
+                batch.membership, scalar.membership
+            )
+            assert batch.codelength == scalar.codelength  # bitwise
 
     def test_delegates_forced_low_d_high(self):
         # d_high=2 turns nearly every vertex into a hub with delegates,

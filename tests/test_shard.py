@@ -8,8 +8,15 @@ ownership with zero hubs.  That identity is what makes
 partition choice.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import InfomapConfig, external_infomap
 from repro.core.distributed import _rank_program
@@ -189,6 +196,22 @@ class TestExternalInfomap:
         assert a.codelength == b.codelength
         rss = b.extras["peak_rss_per_rank"]
         assert len(rss) == 3 and all(x > 0 for x in rss)
+
+    def test_ranks_do_not_import_experiment_harness(self, tmp_path):
+        # A fresh interpreter, so modules other tests loaded do not
+        # count: a rank samples its memory without pulling in
+        # repro.bench and the experiment harness it loads.
+        script = (
+            "import sys\n"
+            "from repro.core import external_infomap\n"
+            "from repro.graph import graph_to_store, ring_of_cliques\n"
+            f"graph_to_store(ring_of_cliques(6, 4).graph, {str(tmp_path / 's')!r})\n"
+            f"external_infomap({str(tmp_path / 's')!r}, 2, backend='threads')\n"
+            "assert 'repro.bench' not in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_empty_store_rejected(self, tmp_path):
         from repro.graph import build_csr_store

@@ -8,6 +8,10 @@ encoded frame sizes.  End-to-end memberships and codelength histories
 are pinned by ``tests/golden/distributed.json``.
 """
 
+import itertools
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,10 +271,75 @@ class TestApplyMoveBookkeeping:
         state.rebuild_table(state.contribution(), [])
         old = int(state.module_of[0])
         new = int(state.module_of[1])
-        _get_qp, get_n = state.table_getters()
-        n_old, n_new = get_n(old, 0), get_n(new, 0)
+        members = state.table_members
+        n_old, n_new = members[old], members[new]
         state.apply_local_move(
             0, new, p_u=0.01, x_u=0.01, d_old=0.0, d_new=0.005
         )
-        assert get_n(old, 0) == n_old - 1
-        assert get_n(new, 0) == n_new + 1
+        assert members[old] == n_old - 1
+        assert members[new] == n_new + 1
+
+
+def _record_bits(rec):
+    """A module record packed to bytes, so equality is bitwise."""
+    return struct.pack("<ddqdd", *rec)
+
+
+def _column_record(state, mod_id):
+    """A module's record recomputed from the table columns."""
+    if mod_id not in state.table_members:
+        return (0.0, 0.0, 1, 0.0, 0.0)
+    q = state.table_exit[mod_id]
+    p = state.table_sum_p[mod_id]
+    b = q + p
+    return (
+        q, p, state.table_members[mod_id],
+        q * math.log2(q) if q > 1e-300 else 0.0,
+        b * math.log2(b) if b > 1e-300 else 0.0,
+    )
+
+
+class TestRecordCoherence:
+    """The scalar scorer's cached module records never go stale."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        ops=st.lists(
+            st.sampled_from(["move", "move_absent", "compact", "rebuild"]),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_cached_records_match_columns(self, seed, ops):
+        rng = np.random.default_rng(seed)
+        _views, one, _two = _paired_states(seed % 7)
+        state = max(one, key=lambda s: s.lg.num_owned)
+        lg = state.lg
+        state.rebuild_table(state.contribution(), [])
+        fresh = itertools.count(10**9)
+        absent = [next(fresh) for _ in range(3)]
+        for op in ops:
+            # Read every record (and a few absent ones) so each write
+            # below lands on a cached module.
+            for m in list(state.table_members) + absent:
+                state.table_records[m]
+            if op in ("move", "move_absent"):
+                li = int(rng.integers(0, lg.num_owned))
+                if op == "move":
+                    new = int(state.module_of[rng.integers(0, lg.num_local)])
+                else:
+                    new = absent.pop(0)
+                    absent.append(next(fresh))
+                state.apply_local_move(
+                    li, new, p_u=float(lg.flow[li]),
+                    x_u=float(rng.random()) * 1e-2,
+                    d_old=float(rng.random()) * 1e-3,
+                    d_new=float(rng.random()) * 1e-3,
+                )
+            elif op == "compact":
+                state.table_arrays()
+            else:
+                state.rebuild_table(state.contribution(), [])
+            for m in list(state.table_members) + absent:
+                assert _record_bits(state.table_records[m]) == \
+                    _record_bits(_column_record(state, m)), (op, m)
