@@ -4,8 +4,8 @@ A from-scratch Python reproduction of Zeng & Yu, *"A Distributed
 Infomap Algorithm for Scalable and High-Quality Community Detection"*
 (ICPP 2018): the delegate-partitioned distributed Infomap algorithm,
 the sequential reference, every substrate (an MPI-like SPMD runtime, a
-CSR graph library, partitioners) and the baselines the paper compares
-against.
+CSR graph library, partitioners) and the GossipMap-like baseline the
+paper compares against (Table 3).
 
 Quickstart::
 
@@ -23,9 +23,8 @@ Subpackages:
 * :mod:`repro.graph` — CSR graphs, IO, generators, dataset stand-ins.
 * :mod:`repro.partition` — 1D & delegate partitioning, balance metrics.
 * :mod:`repro.simmpi` — the in-process SPMD message-passing runtime.
-* :mod:`repro.baselines` — Louvain, label propagation, GossipMap-like,
-  RelaxMap-like.
-* :mod:`repro.metrics` — NMI, F-measure, Jaccard, modularity.
+* :mod:`repro.baselines` — the GossipMap-like Table 3 comparator.
+* :mod:`repro.metrics` — NMI, F-measure, Jaccard.
 * :mod:`repro.bench` — experiment drivers for every paper table/figure.
 * :mod:`repro.obs` — run traces, Perfetto export, provenance
   manifests, rank-aware logging.
@@ -61,7 +60,7 @@ from .graph import (
     write_delta_file,
     write_edgelist,
 )
-from .metrics import compare_partitions, f_measure, jaccard_index, modularity, nmi
+from .metrics import compare_partitions, f_measure, jaccard_index, nmi
 from .partition import (
     DelegatePartition,
     OneDPartition,
@@ -106,7 +105,6 @@ __all__ = [
     "from_edges",
     "jaccard_index",
     "load_dataset",
-    "modularity",
     "nmi",
     "planted_partition",
     "powerlaw_planted_partition",

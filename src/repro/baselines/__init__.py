@@ -1,15 +1,5 @@
-"""Baseline algorithms the paper compares against (or descends from)."""
+"""The baseline the paper compares against (Table 3)."""
 
 from .gossipmap import gossipmap
-from .labelprop import LabelPropConfig, label_propagation
-from .louvain import LouvainConfig, louvain
-from .relaxmap import relaxmap
 
-__all__ = [
-    "LabelPropConfig",
-    "LouvainConfig",
-    "gossipmap",
-    "label_propagation",
-    "louvain",
-    "relaxmap",
-]
+__all__ = ["gossipmap"]

@@ -22,6 +22,8 @@ quality.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.config import InfomapConfig
 from ..core.distributed import _assemble_result, _launch
 from ..core.flow import FlowNetwork
@@ -41,14 +43,17 @@ def gossipmap(
     *,
     machine: MachineModel | None = None,
     timeout: float = 600.0,
+    tracer: Any = None,
+    live: Any = None,
     backend: str | None = None,
 ) -> ClusteringResult:
     """Run the GossipMap-like baseline on *nranks* simulated ranks.
 
     Accepts the same configuration as the main algorithm; the
     GossipMap-defining switches (1D partitioning, boundary-ID-only
-    exchange) are forced.  *backend* selects the SPMD execution backend
-    (``None`` defers to ``config.backend``).
+    exchange) are forced.  *tracer*, *live* and *backend* behave as in
+    :func:`~repro.core.distributed.distributed_infomap`: observing a run
+    never changes its result.
     """
     base = config or InfomapConfig()
     cfg = base.with_(
@@ -74,7 +79,7 @@ def gossipmap(
     res = _launch(
         nranks, cfg, n0=graph.num_vertices,
         views=local_views_1d(network, part),
-        timeout=timeout, tracer=None, live=None, backend=backend,
+        timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
     return _assemble_result(
         res, graph.num_vertices, nranks, machine, method="gossipmap"

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``cluster``   — run sequential / distributed Infomap (or a baseline)
+* ``cluster``   — run sequential / distributed Infomap (or GossipMap)
   on an edge-list file or a named dataset stand-in and write the
   partition; ``--trace run.json`` also records a run-trace artifact.
 * ``inspect``   — summarize a run-trace artifact (slowest rank per
@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(pc)
     pc.add_argument(
         "--method",
-        choices=["sequential", "distributed", "louvain", "labelprop",
-                 "gossipmap", "relaxmap"],
+        choices=["sequential", "distributed", "gossipmap"],
         default="sequential",
     )
     pc.add_argument("--ranks", type=parse_ranks, default=4, metavar="N|auto",
@@ -150,15 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="record a run-trace artifact to PATH "
-             "(sequential/distributed only)",
+        help="record a run-trace artifact to PATH",
     )
     pc.add_argument(
         "--live", action="store_true",
-        help="publish a live telemetry plane for this run "
-             "(sequential/distributed only); prints a run id early so "
-             "'repro-infomap status <id>' / 'watch' can attach from "
-             "another shell while the solve is in flight",
+        help="publish a live telemetry plane for this run; prints a run "
+             "id early so 'repro-infomap status <id>' / 'watch' can "
+             "attach from another shell while the solve is in flight",
     )
 
     pi = sub.add_parser(
@@ -339,7 +336,7 @@ def _live_finish(plane, ok: bool) -> None:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from .baselines import gossipmap, label_propagation, louvain, relaxmap
+    from .baselines import gossipmap
     from .core import (
         InfomapConfig,
         distributed_infomap,
@@ -368,30 +365,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         cfg_kwargs["rebalance_threshold"] = args.rebalance_threshold
     cfg = InfomapConfig(**cfg_kwargs)
 
+    nranks = 1 if args.method == "sequential" else args.ranks
     tracer = None
     if args.trace:
-        if args.method in ("sequential", "distributed"):
-            from .obs import Tracer
+        from .obs import Tracer
 
-            tracer = Tracer()
-        else:
-            print(
-                f"warning: --trace is not supported for method "
-                f"{args.method!r}; ignoring",
-                file=sys.stderr,
-            )
-
+        tracer = Tracer()
     live_plane = None
     if args.live:
-        if args.method in ("sequential", "distributed"):
-            nranks_live = args.ranks if args.method == "distributed" else 1
-            live_plane = _live_start(args.method, nranks_live, "cluster")
-        else:
-            print(
-                f"warning: --live is not supported for method "
-                f"{args.method!r}; ignoring",
-                file=sys.stderr,
-            )
+        live_plane = _live_start(args.method, nranks, "cluster")
 
     ok = False
     try:
@@ -412,14 +394,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     graph, args.ranks, cfg,
                     tracer=tracer, live=live_plane,
                 )
-        elif args.method == "gossipmap":
-            result = gossipmap(graph, args.ranks, cfg)
-        elif args.method == "louvain":
-            result = louvain(graph)
-        elif args.method == "labelprop":
-            result = label_propagation(graph)
         else:
-            result = relaxmap(graph, args.ranks)
+            result = gossipmap(
+                graph, args.ranks, cfg, tracer=tracer, live=live_plane
+            )
         ok = True
     finally:
         if live_plane is not None:
@@ -430,7 +408,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if tracer is not None:
         from .obs import build_manifest, build_run_artifact, write_run_artifact
 
-        nranks = args.ranks if args.method == "distributed" else 1
         manifest = build_manifest(
             config=cfg,
             nranks=nranks,

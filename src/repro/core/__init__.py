@@ -1,18 +1,12 @@
 """Core: map-equation machinery and the Infomap algorithms."""
 
 from .config import InfomapConfig
-from .directed import (
-    DirectedFlowNetwork,
-    DirectedModuleStats,
-    directed_delta,
-    sequential_infomap_directed,
-)
 from .distributed import (
     DistributedInfomap,
     distributed_infomap,
     external_infomap,
 )
-from .flow import FlowNetwork, pagerank_flow
+from .flow import FlowNetwork
 from .incremental import IncrementalSession, warm_seed_membership
 from .kernels import (
     BlockAggregates,
@@ -60,10 +54,6 @@ __all__ = [
     "BlockScore",
     "ClusteringResult",
     "Contribution",
-    "DirectedFlowNetwork",
-    "DirectedModuleStats",
-    "directed_delta",
-    "sequential_infomap_directed",
     "DistributedInfomap",
     "FlowNetwork",
     "IncrementalSession",
@@ -93,7 +83,6 @@ __all__ = [
     "external_infomap",
     "drift_guard_bound",
     "neighbor_module_flows",
-    "pagerank_flow",
     "plogp",
     "score_block",
     "score_block_stats",

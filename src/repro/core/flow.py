@@ -10,10 +10,6 @@ visit probabilities.  That normalization makes every level of the
 multi-level algorithm uniform: a coarsened network's edge weights are
 already flows, and super-vertex visit probabilities are inherited sums,
 exactly how the merge phase of Algorithm 1 behaves.
-
-The directed extension (PageRank flow with teleportation, mentioned in
-the paper's §2.2 as a straightforward generalization) lives in
-:func:`pagerank_flow`.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 from ..graph.coarsen import coarsen as _coarsen
 from ..graph.graph import Graph
 
-__all__ = ["FlowNetwork", "pagerank_flow"]
+__all__ = ["FlowNetwork"]
 
 
 @dataclass(frozen=True)
@@ -114,49 +110,3 @@ class FlowNetwork:
             f"m={self.graph.num_edges}, total_flow={self.total_flow():.6f})"
         )
 
-
-def pagerank_flow(
-    out_indptr: np.ndarray,
-    out_indices: np.ndarray,
-    out_weights: np.ndarray,
-    *,
-    damping: float = 0.85,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Stationary visit probabilities of a *directed* graph.
-
-    Power iteration on the teleporting random walk (PageRank with
-    damping ``d``): dangling mass and teleport mass are spread
-    uniformly.  This is the flow model the original Infomap uses for
-    directed graphs; the paper notes its algorithm extends to directed
-    inputs through exactly this substitution.
-
-    Args:
-        out_indptr/out_indices/out_weights: CSR of *outgoing* edges.
-
-    Returns:
-        ``float64[n]`` visit probabilities summing to 1.
-    """
-    n = out_indptr.size - 1
-    if n == 0:
-        raise ValueError("empty graph")
-    out_strength = np.zeros(n)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_indptr))
-    np.add.at(out_strength, rows, out_weights)
-    dangling = out_strength == 0
-    # Transition probability of each stored edge.
-    safe = np.where(out_strength[rows] > 0, out_strength[rows], 1.0)
-    trans = out_weights / safe
-
-    p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = np.zeros(n)
-        np.add.at(nxt, out_indices, p[rows] * trans)
-        dangling_mass = float(p[dangling].sum())
-        nxt = damping * (nxt + dangling_mass / n) + (1.0 - damping) / n
-        if np.abs(nxt - p).sum() < tol:
-            p = nxt
-            break
-        p = nxt
-    return p / p.sum()

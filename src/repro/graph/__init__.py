@@ -33,7 +33,6 @@ from .delta import (
     read_delta_file,
     write_delta_file,
 )
-from .digraph import DiGraph, digraph_from_edge_array, digraph_from_edges
 from .components import (
     component_sizes,
     connected_components,
@@ -97,7 +96,6 @@ __all__ = [
     "Dataset",
     "DatasetSpec",
     "DegreeSummary",
-    "DiGraph",
     "EdgeChunk",
     "GraphDelta",
     "apply_delta",
@@ -115,8 +113,6 @@ __all__ = [
     "store_header",
     "read_edgelist_legacy",
     "read_metis_legacy",
-    "digraph_from_edge_array",
-    "digraph_from_edges",
     "Graph",
     "LabeledGraph",
     "barabasi_albert",

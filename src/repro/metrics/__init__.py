@@ -16,7 +16,6 @@ from .fmeasure import (
     pair_counts,
     rand_index,
 )
-from .modularity import modularity
 from .nmi import contingency, entropy, mutual_information, nmi
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "entropy",
     "f_measure",
     "jaccard_index",
-    "modularity",
     "mutual_information",
     "nmi",
     "pair_counts",

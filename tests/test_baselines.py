@@ -1,98 +1,14 @@
-"""Baseline algorithms: correctness and expected quality ordering."""
+"""GossipMap baseline: correctness and expected quality ordering."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import (
-    LabelPropConfig,
-    LouvainConfig,
-    gossipmap,
-    label_propagation,
-    louvain,
-    relaxmap,
-)
-from repro.core import InfomapConfig, SequentialInfomap
-from repro.graph import (
-    planted_partition,
-    powerlaw_planted_partition,
-    ring_of_cliques,
-)
-from repro.metrics import modularity, nmi
+from repro.baselines import gossipmap
+from repro.graph import powerlaw_planted_partition
 
 
 @pytest.fixture(scope="module")
 def lfr():
     return powerlaw_planted_partition(1000, 12, mu=0.2, seed=1)
-
-
-class TestLouvain:
-    def test_recovers_cliques(self):
-        lg = ring_of_cliques(8, 6)
-        res = louvain(lg.graph)
-        assert nmi(res.membership, lg.labels) == pytest.approx(1.0)
-        assert res.method == "louvain"
-
-    def test_modularity_positive_and_recorded(self, lfr):
-        res = louvain(lfr.graph)
-        q = res.extras["modularity"]
-        assert q > 0.3
-        assert q == pytest.approx(modularity(lfr.graph, res.membership))
-
-    def test_planted_recovery(self):
-        lg = planted_partition(5, 40, 0.4, 0.01, seed=3)
-        res = louvain(lg.graph)
-        assert nmi(res.membership, lg.labels) > 0.95
-
-    def test_deterministic(self, lfr):
-        a = louvain(lfr.graph, LouvainConfig(seed=4))
-        b = louvain(lfr.graph, LouvainConfig(seed=4))
-        np.testing.assert_array_equal(a.membership, b.membership)
-
-    def test_codelength_is_nan(self, lfr):
-        assert np.isnan(louvain(lfr.graph).codelength)
-
-
-class TestLabelPropagation:
-    def test_recovers_cliques(self):
-        lg = ring_of_cliques(8, 6)
-        res = label_propagation(lg.graph)
-        assert nmi(res.membership, lg.labels) > 0.9
-
-    def test_converges_quickly(self, lfr):
-        res = label_propagation(lfr.graph)
-        assert res.levels[0].sweeps < 40
-
-    def test_min_label_ties_deterministic(self, lfr):
-        a = label_propagation(lfr.graph, LabelPropConfig(seed=1))
-        b = label_propagation(lfr.graph, LabelPropConfig(seed=1))
-        np.testing.assert_array_equal(a.membership, b.membership)
-
-    def test_random_ties_mode_runs(self, lfr):
-        res = label_propagation(
-            lfr.graph, LabelPropConfig(min_label_ties=False, seed=2)
-        )
-        assert res.membership.size == 1000
-
-
-class TestRelaxMap:
-    def test_matches_sequential_on_cliques(self):
-        lg = ring_of_cliques(8, 6)
-        seq = SequentialInfomap().run(lg.graph)
-        res = relaxmap(lg.graph, 4)
-        assert res.codelength == pytest.approx(seq.codelength)
-
-    def test_quality_close_to_sequential(self, lfr):
-        seq = SequentialInfomap().run(lfr.graph)
-        res = relaxmap(lfr.graph, 4)
-        assert res.codelength <= seq.codelength * 1.05
-
-    def test_one_worker_reduces_to_sequentialish(self, lfr):
-        res = relaxmap(lfr.graph, 1)
-        assert res.converged
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            relaxmap(ring_of_cliques(3, 4).graph, 0)
 
 
 class TestGossipMap:

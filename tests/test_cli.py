@@ -51,15 +51,12 @@ class TestCluster:
         labels = np.array([int(r[1]) for r in rows])
         assert np.unique(labels).size == 4  # cliques recovered
 
-    @pytest.mark.parametrize(
-        "method", ["louvain", "labelprop", "relaxmap", "gossipmap"]
-    )
+    @pytest.mark.parametrize("method", ["gossipmap"])
     def test_baseline_methods(self, method, capsys):
         rc = main(["cluster", "--dataset", "amazon", "--scale", "0.3",
                    "--method", method, "--ranks", "2"])
         assert rc == 0
-        assert f"{method.replace('labelprop', 'label_propagation')}" in \
-            capsys.readouterr().out
+        assert method in capsys.readouterr().out
 
 
 class TestTraceAndInspect:
@@ -102,15 +99,28 @@ class TestTraceAndInspect:
         assert rc == 0
         assert trace_path.exists()
 
-    def test_trace_ignored_for_baselines(self, tmp_path, capsys):
-        trace_path = tmp_path / "nope.json"
+    def test_trace_on_gossipmap(self, tmp_path, capsys):
+        from repro.obs import load_run_artifact, to_chrome_trace
+
+        trace_path = tmp_path / "gossip.json"
         rc = main([
             "cluster", "--dataset", "dblp", "--scale", "0.05",
-            "--method", "louvain", "--trace", str(trace_path),
+            "--method", "gossipmap", "--ranks", "2",
+            "--trace", str(trace_path),
         ])
         assert rc == 0
-        assert not trace_path.exists()
-        assert "--trace is not supported" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "run trace written" in captured.out
+        assert "not supported" not in captured.err
+        artifact = load_run_artifact(trace_path)
+        assert artifact["manifest"]["method"] == "gossipmap"
+        assert artifact["manifest"]["nranks"] == 2
+        assert {e["rank"] for e in artifact["events"]} == {0, 1}
+        tids = {
+            e["tid"] for e in to_chrome_trace(artifact)["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert tids == {0, 1}  # one track per rank
 
     def test_inspect_rejects_non_artifact(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -200,13 +210,18 @@ class TestLiveStatus:
         rid = out.split("live run id:")[1].split()[0]
         assert not live_run_dir(rid).exists()
 
-    def test_live_ignored_for_baselines(self, capsys):
+    def test_live_on_gossipmap(self, capsys):
+        from repro.obs.live import live_run_dir
+
         rc = main(["cluster", "--dataset", "dblp", "--scale", "0.05",
-                   "--method", "louvain", "--live"])
+                   "--method", "gossipmap", "--ranks", "2", "--live"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert "--live is not supported" in captured.err
-        assert "live run id:" not in captured.out
+        assert "not supported" not in captured.err
+        out = captured.out
+        rid = out.split("live run id:")[1].split()[0]
+        assert out.index("live run id:") < out.index("gossipmap:")
+        assert not live_run_dir(rid).exists()  # teardown unlinked
 
     def test_status_lists_renders_and_prom(self, capsys):
         from repro.obs.live import LivePlane

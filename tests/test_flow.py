@@ -1,11 +1,11 @@
-"""Flow networks: normalization, coarsening, directed PageRank."""
+"""Flow networks: normalization and coarsening."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlowNetwork, pagerank_flow
+from repro.core import FlowNetwork
 from repro.graph import (
     complete_graph,
     cycle_graph,
@@ -87,37 +87,6 @@ class TestFlowNetwork:
             coarse, np.arange(6), node_term=node_term
         )
         assert coarse_stats.codelength() == pytest.approx(fine.codelength())
-
-
-class TestPagerank:
-    def test_uniform_on_cycle(self):
-        """A directed cycle has the uniform stationary distribution."""
-        n = 8
-        indptr = np.arange(n + 1, dtype=np.int64)
-        indices = (np.arange(n, dtype=np.int64) + 1) % n
-        w = np.ones(n)
-        p = pagerank_flow(indptr, indices, w)
-        np.testing.assert_allclose(p, np.full(n, 1.0 / n), atol=1e-9)
-
-    def test_sums_to_one_with_dangling(self):
-        # 0 -> 1 -> 2, vertex 2 dangling
-        indptr = np.array([0, 1, 2, 2], dtype=np.int64)
-        indices = np.array([1, 2], dtype=np.int64)
-        p = pagerank_flow(indptr, indices, np.ones(2))
-        assert p.sum() == pytest.approx(1.0)
-        assert p[2] > p[0]  # sink accumulates rank
-
-    def test_hub_attracts_rank(self):
-        # all vertices point at 0
-        n = 5
-        indptr = np.array([0, 0, 1, 2, 3, 4], dtype=np.int64)
-        indices = np.zeros(4, dtype=np.int64)
-        p = pagerank_flow(indptr, indices, np.ones(4))
-        assert p[0] == max(p)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pagerank_flow(np.array([0]), np.empty(0, np.int64), np.empty(0))
 
 
 @settings(max_examples=25, deadline=None)

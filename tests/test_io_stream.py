@@ -1,13 +1,26 @@
-"""Streaming chunked readers: legacy equivalence and edge cases.
+"""Streaming chunked readers: golden digests, legacy equivalence, edge cases.
 
 The chunked readers (``iter_edgelist_chunks`` / ``iter_metis_chunks``)
 replaced the per-line Python loops; the old readers survive as
 ``read_edgelist_legacy`` / ``read_metis_legacy`` and serve here as the
 equivalence oracle.  Every test that compares the two demands
 byte-identical CSR columns, not just isomorphic graphs.
+
+``tests/golden/readers.json`` pins the same outputs without the legacy
+readers: for every fixed input and chunk size below it holds the
+SHA-256 of the CSR columns (``xadj``, ``adjncy``, ``weights``).  Like
+``tests/test_golden.py`` it stamps the numpy version it was recorded
+with and is re-recorded deliberately::
+
+    PYTHONPATH=src python tests/test_io_stream.py --record
 """
 
 import gzip
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +49,23 @@ def csr_identical(a, b):
     assert a.weights.tobytes() == b.weights.tobytes()
 
 
+_WEIGHTED_EDGES = [(0, 1, 2.5), (1, 2, 1.25), (0, 3, 0.75), (2, 3, 4.0),
+                   (3, 4, 0.125), (4, 5, 9.5)]
+_METIS_WEIGHTED_EDGES = [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.0)]
+
+
+def _random_graph():
+    return powerlaw_planted_partition(400, 8, seed=5).graph
+
+
+def _write_straddle_gz(path):
+    with gzip.open(path, "wt") as fh:
+        fh.write("".join(f"{i} {i + 1} {i + 0.5}\n" for i in range(200)))
+
+
 @pytest.fixture(scope="module")
 def random_graph():
-    return powerlaw_planted_partition(400, 8, seed=5).graph
+    return _random_graph()
 
 
 class TestLegacyEquivalence:
@@ -53,12 +80,8 @@ class TestLegacyEquivalence:
 
     @pytest.mark.parametrize("chunk_bytes", SPLITTING_CHUNKS)
     def test_edgelist_weighted(self, tmp_path, chunk_bytes):
-        g = from_edges(
-            [(0, 1, 2.5), (1, 2, 1.25), (0, 3, 0.75), (2, 3, 4.0),
-             (3, 4, 0.125), (4, 5, 9.5)]
-        )
         p = tmp_path / "g.txt"
-        write_edgelist(g, p)
+        write_edgelist(from_edges(_WEIGHTED_EDGES), p)
         csr_identical(
             read_edgelist_legacy(p),
             read_edgelist(p, chunk_bytes=chunk_bytes),
@@ -74,9 +97,8 @@ class TestLegacyEquivalence:
         )
 
     def test_metis_weighted(self, tmp_path):
-        g = from_edges([(0, 1, 2.0), (1, 2, 3.0), (0, 2, 1.0)])
         p = tmp_path / "g.metis"
-        write_metis(g, p)
+        write_metis(from_edges(_METIS_WEIGHTED_EDGES), p)
         csr_identical(read_metis_legacy(p), read_metis(p, chunk_bytes=16))
 
 
@@ -89,10 +111,8 @@ class TestGzipChunkBoundaries:
             csr_identical(ref, read_edgelist(p, chunk_bytes=cb))
 
     def test_gz_line_straddles_decompressed_chunk(self, tmp_path):
-        lines = "".join(f"{i} {i + 1} {i + 0.5}\n" for i in range(200))
         p = tmp_path / "g.txt.gz"
-        with gzip.open(p, "wt") as fh:
-            fh.write(lines)
+        _write_straddle_gz(p)
         csr_identical(read_edgelist_legacy(p), read_edgelist(p, chunk_bytes=3))
 
 
@@ -185,3 +205,93 @@ class TestReaderEdgeCases:
         assert all(c.weights is not None for c in chunks)
         total = sum(float(c.weights.sum()) for c in chunks)
         assert total == pytest.approx(150.0)
+
+
+GOLDEN_READERS = Path(__file__).with_name("golden") / "readers.json"
+
+
+#: The fixed inputs of the tests above, by file name; the suffix picks
+#: the reader (``.metis`` → ``read_metis``, else ``read_edgelist``).
+READER_INPUTS = {
+    "powerlaw-400-8-s5.txt": lambda p: write_edgelist(_random_graph(), p),
+    "powerlaw-400-8-s5.txt.gz": lambda p: write_edgelist(_random_graph(), p),
+    "powerlaw-400-8-s5.metis": lambda p: write_metis(_random_graph(), p),
+    "weighted-6.txt": lambda p: write_edgelist(from_edges(_WEIGHTED_EDGES), p),
+    "weighted-3.metis": lambda p: write_metis(
+        from_edges(_METIS_WEIGHTED_EDGES), p
+    ),
+    "straddle-200.txt.gz": _write_straddle_gz,
+    "comments-only.txt": lambda p: p.write_text("# only comments\n\n"),
+    "self-loops-only.txt": lambda p: p.write_text("0 0\n1 1\n2 2\n"),
+}
+
+READER_CASES = [
+    *(
+        (name, cb)
+        for name in ("powerlaw-400-8-s5.txt", "weighted-6.txt",
+                     "powerlaw-400-8-s5.metis")
+        for cb in SPLITTING_CHUNKS
+    ),
+    ("weighted-3.metis", 16),
+    *(("powerlaw-400-8-s5.txt.gz", cb) for cb in (13, 100, 8192)),
+    ("straddle-200.txt.gz", 3),
+    ("comments-only.txt", 4),
+    ("self-loops-only.txt", 4),
+]
+
+
+def _case_key(name: str, chunk_bytes: int) -> str:
+    return f"{name}/chunk_bytes={chunk_bytes}"
+
+
+def reader_digests(name: str, chunk_bytes: int, tmp: Path) -> dict[str, str]:
+    path = tmp / name
+    READER_INPUTS[name](path)
+    reader = read_metis if name.endswith(".metis") else read_edgelist
+    g = reader(path, chunk_bytes=chunk_bytes)
+    return {
+        col: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+        for col, arr in (("xadj", g.indptr), ("adjncy", g.indices),
+                         ("weights", g.weights))
+    }
+
+
+def record_readers() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = {
+            _case_key(name, cb): reader_digests(name, cb, Path(tmp))
+            for name, cb in READER_CASES
+        }
+    return {"numpy": np.__version__, "entries": entries}
+
+
+@pytest.fixture(scope="module")
+def golden_readers() -> dict:
+    data = json.loads(GOLDEN_READERS.read_text())
+    if data["numpy"] != np.__version__:
+        pytest.fail(
+            f"reader digests were recorded under numpy {data['numpy']}, "
+            f"this is numpy {np.__version__}: re-record deliberately "
+            f"(python tests/test_io_stream.py --record) after checking "
+            f"the readers are unchanged"
+        )
+    return data["entries"]
+
+
+@pytest.mark.parametrize(
+    "name,chunk_bytes", READER_CASES,
+    ids=[_case_key(name, cb) for name, cb in READER_CASES],
+)
+def test_reader_golden(golden_readers, tmp_path, name, chunk_bytes):
+    key = _case_key(name, chunk_bytes)
+    assert reader_digests(name, chunk_bytes, tmp_path) == golden_readers[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_io_stream.py --record")
+    GOLDEN_READERS.parent.mkdir(exist_ok=True)
+    GOLDEN_READERS.write_text(
+        json.dumps(record_readers(), indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {GOLDEN_READERS}")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import from_edges, ring_of_cliques
 from repro.metrics import (
     adjusted_rand_index,
     best_match_f_measure,
@@ -15,7 +14,6 @@ from repro.metrics import (
     entropy,
     f_measure,
     jaccard_index,
-    modularity,
     mutual_information,
     nmi,
     pair_counts,
@@ -141,35 +139,6 @@ class TestOtherMetrics:
         assert rep.num_clusters_a == 2 and rep.num_clusters_b == 4
         assert set(rep.row()) == {"NMI", "F-measure", "JI"}
         assert "NMI=" in str(rep)
-
-
-class TestModularity:
-    def test_matches_networkx(self):
-        import networkx as nx
-
-        lg = ring_of_cliques(5, 4)
-        q = modularity(lg.graph, lg.labels)
-        G = nx.Graph([(u, v) for u, v, _ in lg.graph.edges()])
-        comms = [set(np.flatnonzero(lg.labels == c)) for c in range(5)]
-        assert q == pytest.approx(
-            nx.algorithms.community.modularity(G, comms)
-        )
-
-    def test_single_community_zero_ish(self):
-        lg = ring_of_cliques(3, 4)
-        q = modularity(lg.graph, np.zeros(12, dtype=int))
-        assert q == pytest.approx(0.0)
-
-    def test_self_loop_convention(self):
-        g = from_edges([(0, 1, 1.0), (1, 1, 1.0)], keep_self_loops=True)
-        q = modularity(g, np.array([0, 1]))
-        # W=2; in: c0=0, c1=1; deg: c0=1, c1=3
-        assert q == pytest.approx(0 + 1 / 2 - (1 / 4) ** 2 - (3 / 4) ** 2)
-
-    def test_shape_and_empty_checks(self):
-        lg = ring_of_cliques(3, 4)
-        with pytest.raises(ValueError):
-            modularity(lg.graph, np.zeros(5, dtype=int))
 
 
 @settings(max_examples=40, deadline=None)
