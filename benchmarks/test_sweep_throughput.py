@@ -32,7 +32,7 @@ def _run_mode(network, order, sweep_fn, config):
     t0 = time.perf_counter()
     moved = 0
     for _ in range(N_SWEEPS):
-        moved += sweep_fn(network, membership, stats, order, config)
+        moved += sweep_fn(network, membership, stats, order, config)[0]
     elapsed = time.perf_counter() - t0
     return {
         "elapsed_s": elapsed,

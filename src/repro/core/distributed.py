@@ -55,6 +55,7 @@ from ..simmpi.requests import Request
 from .config import InfomapConfig
 from .flow import FlowNetwork
 from .kernels import (
+    CERT_SLACK,
     aggregate_module_flows,
     drift_guard_bound,
     score_block_table,
@@ -251,15 +252,6 @@ def _local_module_flows(
     return aggregate_module_flows(state.module_of[nbrs], flows)
 
 
-# Certification slack for the batched sweep: the batch kernel computes
-# deltas with numpy plogp while _score_candidates uses math.log2 in a
-# different association order, so batch-certified decisions (stays AND
-# commits) must survive a few ulps of disagreement on top of the
-# analytic drift bound.  The slack strictly dominates the actual
-# disagreement (~1e-14 on O(1) deltas), which is what makes the
-# certified-commit inequalities strict where the scalar comparisons
-# are.
-_BATCH_STAY_SLACK = 1e-12
 # Below this many active vertices the per-round table-snapshot build
 # costs more than the scalar loop it replaces.
 _BATCH_MIN_ACTIVE = 32
@@ -275,7 +267,7 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
     outcomes are batch-certified where the numbers allow it:
 
     * certified stay — ``margin >= e`` where
-      ``e = drift_guard_bound(..) + slack``: the scalar evaluator
+      ``e = drift_guard_bound(..) + CERT_SLACK``: the scalar evaluator
       provably finds no improving move, skip outright;
     * certified commit — ``margin <= -e`` and ``runner_gap >= 2e``:
       the scalar argmin provably equals the batch argmin, commit it
@@ -297,7 +289,7 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
     ghost memberships cannot change during a sweep — and re-aggregates
     through :func:`_evaluate_move` otherwise.  The certified-commit
     inequalities are sound because the batch/scalar delta disagreement
-    is strictly below ``slack`` (numpy-vs-math.log2 ulps) plus the
+    is strictly below ``CERT_SLACK`` (numpy-vs-math.log2 ulps) plus the
     analytic drift bound.
 
     Moves go through ``level.commit``; returns the edge-scan work.
@@ -341,14 +333,13 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
         agg, score = score_block_table(
             state, snap, chunk, id_space=level.id_space,
             cand_mask_fn=minlabel_mask if use_minlabel else None,
-            keep_candidates=True,
         )
         # The chunk was scored with the *live* exit sum, so the drift
         # guard measures drift from this value; the snapshot is fresh,
         # so only commits within this chunk can invalidate it.
         s_chunk = state.sum_exit_global
         margins = score.best_delta + mi
-        if bool((margins >= _BATCH_STAY_SLACK).all()):
+        if bool((margins >= CERT_SLACK).all()):
             continue  # whole chunk provably stays (zero drift yet)
         # Modules whose aggregates a commit in this chunk changed, and
         # the vertices committed in this chunk.
@@ -379,7 +370,7 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
                 s_now = state.sum_exit_global
                 e = drift_guard_bound(
                     s_now - s_chunk, x_us[i], s_chunk, s_now
-                ) + _BATCH_STAY_SLACK
+                ) + CERT_SLACK
                 margin = margin_l[i]
                 if margin >= e:
                     continue  # certified stay

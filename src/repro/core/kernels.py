@@ -48,8 +48,9 @@ the fourth bullet follows from them:
   match ``plogp``'s per-term calls bit for bit.  ``math.log2`` does
   *not* share this guarantee: it disagrees with ``np.log2`` in the last
   bit on a small fraction of inputs on AVX-512 hosts, so the sequential
-  path never uses it (and the distributed path, whose digests were
-  recorded with ``math.log2``, never switches to ``np.log2``).
+  path uses it only to certify (below), never in a committed value
+  (and the distributed path, whose digests were recorded with
+  ``math.log2``, never switches to ``np.log2``).
   ``tests/test_kernels.py`` pins this fact.
 * Two candidates of one vertex whose ``(q, p, d_new)`` are bitwise
   equal get bitwise-equal deltas on every path — the batch kernel, the
@@ -71,28 +72,49 @@ Snapshot semantics and the drift guard
 
 A block is scored against module aggregates frozen at block start.
 Commits earlier in the same block (or round) invalidate a later
-vertex's score in exactly two ways:
+vertex's score in three ways:
 
-* a module in the vertex's candidate set (its neighbour modules or its
-  current module) changed aggregates — detected exactly through the
-  ``touched`` module set, because a moved neighbour's *old* module
-  necessarily appears in the vertex's snapshot candidate set;
 * the global ``sum_exit`` drifted.  ΔL depends on ``sum_exit`` only
   through ``plogp(S + c) − plogp(S)`` with ``|c| ≤ 2·x_u``, whose
   derivative magnitude is ``|log2(1 + c/S)| ≤ 4·x_u/(S_min·ln 2)``
   once ``S_min ≥ 4·x_u``, giving the bound returned by
-  :func:`drift_guard_bound`.  Decisions whose margin beats the bound
-  (plus a float-noise slack when the two paths round differently) are
-  provably identical to a fresh scalar evaluation; everything else
-  is re-scored exactly (``score_vertex`` in the sequential sweep,
-  ``_score_candidates`` in the distributed one), on the block's cached
-  segment when no neighbour of the vertex has moved since the block
-  was scored (the segment then equals a fresh aggregation bitwise) and
-  on a fresh aggregation otherwise.
+  :func:`drift_guard_bound`;
+* a module in the vertex's candidate set (its neighbour modules or its
+  current module) changed aggregates — detected exactly through the
+  ``touched`` module set, because a moved neighbour's *old* module
+  necessarily appears in the vertex's snapshot candidate set;
+* a neighbour moved, so the cached segment itself is stale.
 
-At zero drift with no touched module the bound is exactly 0 and the
-decisions are bitwise-identical by construction — that is the case the
-property tests pin down.
+For one vertex, ΔL of the move into candidate ``m`` splits as
+``[plogp(S + 2(d_old − d_m)) − plogp(S)] + B + C(m)``: ``B``
+(:func:`leave_term`) depends only on the current module's ``(q, p)``
+and ``C(m)`` only on module ``m``'s.  So a commit that touched only the
+current module shifts every candidate's delta by the same
+``B_live − B_snap`` (:meth:`BlockLists.shift`, O(1) on the ``q_old`` /
+``p_old`` snapshot kept on :class:`BlockScore`): argmin and
+``runner_gap`` stand, only the margin moves.  A touched candidate
+changes only its own ``C(m)``, which :func:`rescore_candidate`
+recomputes on the live aggregates.  The sequential sweep certifies
+such vertices on these estimates; the distributed sweep re-scores
+them (a touched module there always goes to the exact scorer).
+
+Every estimate — the batch delta of an untouched vertex, a shifted or
+recomputed one — lies within ``e = drift_guard_bound(..) +
+CERT_SLACK`` of the exact live delta, and the sweeps certify against
+``e``: a stay when ``margin ≥ e``, the argmin's commit when
+``margin ≤ −e`` and ``runner_gap ≥ 2e``.  Those decisions are provably
+the exact scorer's; everything else (the gray zone) is re-scored
+exactly (``score_vertex`` in the sequential sweep, ``_score_candidates``
+in the distributed one), on the block's cached segment when no
+neighbour of the vertex has moved since the block was scored (the
+segment then equals a fresh aggregation bitwise) and on a fresh
+aggregation otherwise.  The shift and the recomputed candidates use
+``math.log2``; on the sequential path they only *certify*, and every
+committed ``apply_move`` argument still comes from the segment.
+
+At zero drift, for a vertex whose modules no commit touched, the
+sequential bound is exactly 0 (batch and ``score_vertex`` deltas are
+bitwise equal) — that is the case the property tests pin down.
 """
 
 from __future__ import annotations
@@ -106,6 +128,7 @@ from .mapequation import delta_from_values
 
 __all__ = [
     "BlockAggregates",
+    "BlockLists",
     "BlockScore",
     "aggregate_block_flows",
     "aggregate_module_flows",
@@ -113,6 +136,9 @@ __all__ = [
     "score_block_stats",
     "score_block_table",
     "drift_guard_bound",
+    "CERT_SLACK",
+    "leave_term",
+    "rescore_candidate",
 ]
 
 _LN2 = math.log(2.0)
@@ -186,22 +212,74 @@ class BlockScore:
     to the best candidate whose ``(q, p, d_new)`` are not bitwise the
     argmin's (``+inf`` when there is none) — the quantity the drift
     guard needs to certify that the argmin cannot have flipped.
+    ``q_old``/``p_old`` are the current modules' aggregates the block
+    was scored against (what :meth:`BlockLists.shift` shifts from).
 
-    When scored with ``keep_candidates=True`` the per-candidate arrays
-    are retained: ``cand_mods[cand_ptr[i]:cand_ptr[i+1]]`` are vertex
-    ``i``'s admissible targets in ascending module order with their
-    deltas/flows — what the distributed batch path needs to certify
-    min-label tie re-breaks without rescoring.
+    ``cand_mods[cand_ptr[i]:cand_ptr[i+1]]`` are vertex ``i``'s
+    admissible targets in ascending module order with their
+    deltas/flows — what the sequential sweep shifts and partially
+    re-scores, and what the distributed one certifies min-label tie
+    re-breaks on.
     """
 
     best_target: np.ndarray  # int64[B]
     best_delta: np.ndarray  # float64[B]
     best_d_new: np.ndarray  # float64[B]
     runner_gap: np.ndarray  # float64[B]
-    cand_ptr: "np.ndarray | None" = None  # int64[B+1]
-    cand_mods: "np.ndarray | None" = None  # int64[C]
-    cand_deltas: "np.ndarray | None" = None  # float64[C]
-    cand_flows: "np.ndarray | None" = None  # float64[C]
+    q_old: np.ndarray  # float64[B] snapshot current-module q
+    p_old: np.ndarray  # float64[B] snapshot current-module p
+    cand_ptr: np.ndarray  # int64[B+1]
+    cand_mods: np.ndarray  # int64[C]
+    cand_deltas: np.ndarray  # float64[C]
+    cand_flows: np.ndarray  # float64[C]
+
+
+class BlockLists:
+    """Per-vertex list views of one scored block, for the sequential
+    sweep's certifier.
+
+    Per-vertex reads go through lists: numpy scalar access costs more
+    than the decisions it feeds.  The per-candidate lists are
+    converted on first use only.
+    """
+
+    def __init__(self, agg: BlockAggregates, score: BlockScore) -> None:
+        self.current = agg.current.tolist()
+        self.seg_ptr = agg.seg_ptr.tolist()
+        self.seg_mods = agg.seg_mods.tolist()
+        self.p_u = agg.p_u.tolist()
+        self.x_u = agg.x_u.tolist()
+        self.d_old = agg.d_old.tolist()
+        self.target = score.best_target.tolist()
+        self.delta = score.best_delta.tolist()
+        self.d_new = score.best_d_new.tolist()
+        self.gap = score.runner_gap.tolist()
+        self.score = score
+        self._cands: "tuple[list, list, list, list] | None" = None
+
+    def candidates(self) -> "tuple[list, list, list, list]":
+        """``(cand_ptr, cand_mods, cand_deltas, cand_flows)`` as lists."""
+        if self._cands is None:
+            sc = self.score
+            self._cands = (
+                sc.cand_ptr.tolist(), sc.cand_mods.tolist(),
+                sc.cand_deltas.tolist(), sc.cand_flows.tolist(),
+            )
+        return self._cands
+
+    def shift(self, i: int, q_live: float, p_live: float) -> float:
+        """``B_live − B_snap``: how far commits to the current module of
+        vertex *i*, whose aggregates are now ``(q_live, p_live)``, moved
+        every candidate's ΔL (module docs).  O(1): two
+        :func:`leave_term` evaluations."""
+        p_u = self.p_u[i]
+        x_u = self.x_u[i]
+        d_old = self.d_old[i]
+        return (
+            leave_term(q_live, p_live, p_u=p_u, x_u=x_u, d_old=d_old)
+            - leave_term(self.score.q_old.item(i), self.score.p_old.item(i),
+                         p_u=p_u, x_u=x_u, d_old=d_old)
+        )
 
 
 def aggregate_block_flows(
@@ -283,7 +361,6 @@ def score_block(
     p_old: np.ndarray,
     sum_exit: float,
     cand_mask: "np.ndarray | None" = None,
-    keep_candidates: bool = False,
 ) -> BlockScore:
     """Stage 4: one ΔL evaluation over every candidate of every vertex.
 
@@ -298,8 +375,6 @@ def score_block(
         cand_mask: optional ``bool[S]`` admissibility mask over
             ``agg.seg_mods`` — ``False`` entries are never targets (the
             distributed min-label rule removes candidates this way).
-        keep_candidates: retain per-candidate deltas in the result (see
-            :class:`BlockScore`).
     """
     b = agg.block.size
     best_target = agg.current.copy()
@@ -311,15 +386,14 @@ def score_block(
     if cand_mask is not None:
         cand &= cand_mask
     if not bool(cand.any()):
-        if keep_candidates:
-            return BlockScore(
-                best_target, best_delta, best_d_new, runner_gap,
-                cand_ptr=np.zeros(b + 1, dtype=np.int64),
-                cand_mods=np.empty(0, np.int64),
-                cand_deltas=np.empty(0),
-                cand_flows=np.empty(0),
-            )
-        return BlockScore(best_target, best_delta, best_d_new, runner_gap)
+        return BlockScore(
+            best_target, best_delta, best_d_new, runner_gap,
+            q_old=q_old, p_old=p_old,
+            cand_ptr=np.zeros(b + 1, dtype=np.int64),
+            cand_mods=np.empty(0, np.int64),
+            cand_deltas=np.empty(0),
+            cand_flows=np.empty(0),
+        )
 
     cown = agg.seg_owner[cand]
     cmods = agg.seg_mods[cand]
@@ -372,13 +446,11 @@ def score_block(
         masked[sel[same]] = np.inf
         gaps[tied] = np.minimum.reduceat(masked, starts)[tied] - mins[tied]
     runner_gap[nz] = gaps
-    if keep_candidates:
-        return BlockScore(
-            best_target, best_delta, best_d_new, runner_gap,
-            cand_ptr=cptr, cand_mods=cmods, cand_deltas=deltas,
-            cand_flows=cflow,
-        )
-    return BlockScore(best_target, best_delta, best_d_new, runner_gap)
+    return BlockScore(
+        best_target, best_delta, best_d_new, runner_gap,
+        q_old=q_old, p_old=p_old, cand_ptr=cptr, cand_mods=cmods,
+        cand_deltas=deltas, cand_flows=cflow,
+    )
 
 
 def score_block_stats(
@@ -411,7 +483,6 @@ def score_block_table(
     *,
     id_space: int,
     cand_mask_fn=None,
-    keep_candidates: bool = False,
 ) -> tuple[BlockAggregates, BlockScore]:
     """Distributed-path wrapper: score owned vertices against a
     :class:`repro.core.swap.TableArrays` snapshot.
@@ -430,7 +501,6 @@ def score_block_table(
         agg, q_seg=q_seg, p_seg=p_seg, q_old=q_old, p_old=p_old,
         sum_exit=state.sum_exit_global,
         cand_mask=None if cand_mask_fn is None else cand_mask_fn(agg),
-        keep_candidates=keep_candidates,
     )
     return agg, score
 
@@ -453,3 +523,85 @@ def drift_guard_bound(
     if s_min <= 4.0 * x_u:
         return math.inf
     return abs(drift) * 4.0 * x_u / (s_min * _LN2)
+
+
+#: The one certification slack, added to :func:`drift_guard_bound` by
+#: both sweeps wherever a certified value was not computed bitwise as
+#: the exact scorer computes it: the distributed batch deltas (numpy
+#: against ``_score_candidates``'s ``math.log2``) and the shifted or
+#: recomputed deltas of :meth:`BlockLists.shift`/:func:`rescore_candidate`.
+#: Flows are normalised, so every ``plogp`` argument is at most 2 and
+#: every term at most 2 in magnitude.  Those values build the exact
+#: scorer's ``q``/``q + p`` arguments bitwise; only the exit sum after
+#: the move, ``S'``, is associated through the snapshot's ``q_old``
+#: instead of the live one and differs by a few ulps of 2 (``δ ≲
+#: 1e-15``), which moves ``plogp(S')`` by at most ``δ·|log2 δ| ≲ 5e-14``
+#: even next to 0, where ``plogp`` is steepest.  The rest is
+#: ``math.log2`` against ``np.log2`` (at most 1 ulp of each log) and the
+#: summation order of at most ~16 terms (a few ulps of 2 each), so the
+#: total disagreement stays below ~1e-13, a tenth of the slack — which
+#: keeps every certified inequality strict where the exact comparisons
+#: are.  A sequential vertex no commit touched is still certified at
+#: exactly ``drift_guard_bound`` (0 at zero drift): there the batch and
+#: ``score_vertex`` deltas are bitwise equal.
+CERT_SLACK = 1e-12
+
+
+def leave_term(
+    q: float, p: float, *, p_u: float, x_u: float, d_old: float
+) -> float:
+    """``B``: the current module's share of every candidate's ΔL.
+
+    ``−2·[plogp(q') − plogp(q)] + plogp(q' + p') − plogp(q + p)`` for
+    the current module's aggregates ``(q, p)`` before and ``(q', p')``
+    after the vertex leaves, with ``math.log2`` and the argument
+    expressions of :func:`~repro.core.mapequation.delta_from_values`.
+
+    The ΔL formula is spelled out in several places that must change
+    together: :func:`~repro.core.mapequation.delta_from_values`, this
+    function (operand for operand the ``base_old`` of
+    ``distributed._score_candidates``, which reads ``plogp(q)`` and
+    ``plogp(q + p)`` from the table record
+    ``swap._ModuleRecords.__missing__`` fills in the same inline form),
+    and :func:`rescore_candidate` (that function's per-candidate term).
+    """
+    log2 = math.log2
+    qa = q - x_u + 2.0 * d_old
+    a = qa + (p - p_u)
+    b = q + p
+    return (
+        -2.0 * (
+            (qa * log2(qa) if qa > 1e-300 else 0.0)
+            - (q * log2(q) if q > 1e-300 else 0.0)
+        )
+        + (a * log2(a) if a > 1e-300 else 0.0)
+        - (b * log2(b) if b > 1e-300 else 0.0)
+    )
+
+
+def rescore_candidate(
+    sum_exit: float, q_old: float, b_old: float, q: float, p: float,
+    *, p_u: float, x_u: float, d_old: float, d_new: float,
+) -> float:
+    """ΔL of the move into one candidate with aggregates ``(q, p)``.
+
+    ``q_old`` is the current module's exit flow and ``b_old`` its
+    :func:`leave_term`; the ``plogp`` arguments are built as in
+    :func:`~repro.core.mapequation.delta_from_values`.
+    """
+    log2 = math.log2
+    qa = q + x_u - 2.0 * d_new
+    se = sum_exit + ((q_old - x_u + 2.0 * d_old) - q_old) + (qa - q)
+    a = qa + (p + p_u)
+    b = q + p
+    return (
+        (se * log2(se) if se > 1e-300 else 0.0)
+        - (sum_exit * log2(sum_exit) if sum_exit > 1e-300 else 0.0)
+        + b_old
+        - 2.0 * (
+            (qa * log2(qa) if qa > 1e-300 else 0.0)
+            - (q * log2(q) if q > 1e-300 else 0.0)
+        )
+        + (a * log2(a) if a > 1e-300 else 0.0)
+        - (b * log2(b) if b > 1e-300 else 0.0)
+    )

@@ -15,6 +15,7 @@ the pseudocode with no shortcuts.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -24,18 +25,19 @@ from ..obs.live import NULL_LIVE
 from ..obs.trace import NULL_BUFFER
 from .config import InfomapConfig
 from .flow import FlowNetwork
-from .kernels import drift_guard_bound, score_block_stats
+from .kernels import (
+    CERT_SLACK,
+    BlockLists,
+    drift_guard_bound,
+    leave_term,
+    rescore_candidate,
+    score_block_stats,
+)
 from .mapequation import ModuleStats
 from .moves import best_move, score_vertex
 from .result import ClusteringResult, LevelRecord
 
 __all__ = ["SequentialInfomap", "cluster_level", "sequential_infomap"]
-
-# Float-noise slack added to the drift guard once sum_exit has drifted:
-# the batch delta was rounded at S0, the hypothetical scalar one at
-# S_now, so the analytic bound must absorb a few ulps of plogp noise.
-# At zero drift the guard is exactly 0 and decisions are bitwise-equal.
-_SEQ_GUARD_SLACK = 1e-13
 
 
 def _sweep_scalar(
@@ -44,8 +46,11 @@ def _sweep_scalar(
     stats: ModuleStats,
     order: np.ndarray,
     config: InfomapConfig,
-) -> int:
-    """Legacy one-vertex-at-a-time sweep (``batch_size=0``)."""
+) -> tuple[int, int]:
+    """Legacy one-vertex-at-a-time sweep (``batch_size=0``).
+
+    Returns ``(moves, exact re-scores)``; every visit is a re-score.
+    """
     moved = 0
     for u in order:
         prop = best_move(
@@ -60,7 +65,73 @@ def _sweep_scalar(
             )
             membership[u] = prop.target
             moved += 1
-    return moved
+    return moved, int(order.size)
+
+
+def _certify_touched(
+    blk: BlockLists,
+    i: int,
+    cur: int,
+    stats: ModuleStats,
+    touched: "set[int]",
+    s0: float,
+    mi: float,
+) -> "tuple[int, float] | None":
+    """Decide block vertex *i* after a commit touched one of its modules.
+
+    Valid while no neighbour of the vertex has moved since the block
+    was scored, so its segment is live.  A touched current module
+    shifts every candidate's batch delta by :meth:`BlockLists.shift`; a
+    touched candidate is recomputed on the live stats
+    (:func:`rescore_candidate`).  Each estimate is within
+    ``e = drift_guard_bound(..) + CERT_SLACK`` of the exact live delta
+    (kernels module docs), so the returned ``(target, d_new)`` is what
+    :func:`score_vertex` decides — ``target == cur`` is a certified
+    stay — or ``None`` in the gray zone.
+    """
+    d_old = blk.d_old[i]
+    if blk.delta[i] == math.inf:
+        return cur, d_old  # no candidate, live or snapshot
+    p_u = blk.p_u[i]
+    x_u = blk.x_u[i]
+    s_now = float(stats.sum_exit)
+    e = drift_guard_bound(s_now - s0, x_u, s0, s_now) + CERT_SLACK
+    q_cur = stats.exit.item(cur)
+    p_cur = stats.sum_p.item(cur)
+    shift = blk.shift(i, q_cur, p_cur) if cur in touched else 0.0
+    hit = touched.intersection(blk.seg_mods[blk.seg_ptr[i]:blk.seg_ptr[i + 1]])
+    hit.discard(cur)
+    if not hit:
+        # Argmin and runner_gap (input-identical ties included) stand.
+        margin = blk.delta[i] + shift + mi
+        tgt, d_new, gap = blk.target[i], blk.d_new[i], blk.gap[i]
+    else:
+        cand_ptr, cand_mods, cand_deltas, cand_flows = blk.candidates()
+        ca = cand_ptr[i]
+        cb = cand_ptr[i + 1]
+        mods = cand_mods[ca:cb]
+        est = cand_deltas[ca:cb]
+        if shift:
+            est = [d + shift for d in est]
+        b_old = leave_term(q_cur, p_cur, p_u=p_u, x_u=x_u, d_old=d_old)
+        for m in hit:  # every module of the segment but cur is a candidate
+            k = mods.index(m)
+            est[k] = rescore_candidate(
+                s_now, q_cur, b_old, stats.exit.item(m),
+                stats.sum_p.item(m), p_u=p_u, x_u=x_u, d_old=d_old,
+                d_new=cand_flows[ca + k],
+            )
+        best = min(est)
+        k = est.index(best)  # first min
+        est[k] = math.inf
+        # No tie exemption here: an exact tie goes gray.
+        margin = best + mi
+        tgt, d_new, gap = mods[k], cand_flows[ca + k], min(est) - best
+    if margin >= e:
+        return cur, d_old
+    if margin <= -e and gap >= 2.0 * e:
+        return tgt, d_new
+    return None
 
 
 def _sweep_batched(
@@ -69,26 +140,32 @@ def _sweep_batched(
     stats: ModuleStats,
     order: np.ndarray,
     config: InfomapConfig,
-) -> int:
+) -> tuple[int, int]:
     """Batched sweep with exact serial semantics (see kernels.py docs).
 
     Each block is scored against the live stats in one vectorized
     shot; vertices whose decision is provably unaffected by commits
     earlier in the block skip the exact scorer entirely (robust stays)
     or commit the batch decision directly (robust moves, with
-    bitwise-identical apply_move arguments).  Everything inside the
-    drift-guard margin is re-scored exactly against the live stats, so
-    the sweep's committed move sequence is identical to the scalar
-    sweep's.  The re-score reuses the block's cached neighbour-module
-    segment when no neighbour has moved since the block was scored
-    (the segment is then bitwise equal to a fresh aggregation, by the
-    ``aggregate_module_flows`` contract) and re-aggregates otherwise.
+    bitwise-identical apply_move arguments).  A vertex whose current or
+    candidate module a commit touched is certified the same way on
+    shifted batch deltas (:func:`_certify_touched`) while none of its
+    neighbours has moved.  Everything inside the guard is re-scored
+    exactly against the live stats, so the sweep's committed move
+    sequence is identical to the scalar sweep's.  The re-score reuses
+    the block's cached neighbour-module segment when no neighbour has
+    moved since the block was scored (the segment is then bitwise
+    equal to a fresh aggregation, by the ``aggregate_module_flows``
+    contract) and re-aggregates otherwise.
+
+    Returns ``(moves, exact re-scores)``.
     """
     mi = config.min_improvement
     bs = config.batch_size
     g = network.graph
     indptr, indices = g.indptr, g.indices
     moved = 0
+    rescores = 0
     for lo in range(0, order.size, bs):
         block = order[lo : lo + bs]
         agg, score = score_block_stats(network, membership, stats, block)
@@ -97,22 +174,19 @@ def _sweep_batched(
             # No commits => no drift: every stay decision is
             # bitwise-identical to what the scalar path would do.
             continue
-        s0 = stats.sum_exit
+        # Python floats: numpy scalar arithmetic costs more than the
+        # per-vertex guards it feeds (the values are the same).
+        s0 = float(stats.sum_exit)
         # Modules whose aggregates a commit in this block changed, and
         # the vertices committed in this block.
         touched: set[int] = set()
         movers: set[int] = set()
-        # Per-vertex reads below go through lists: numpy scalar access
-        # costs more than the decisions it feeds.
-        seg_ptr = agg.seg_ptr.tolist()
-        seg_mods = agg.seg_mods.tolist()
-        p_us = agg.p_u.tolist()
-        x_us = agg.x_u.tolist()
-        d_olds = agg.d_old.tolist()
-        targets = score.best_target.tolist()
-        deltas = score.best_delta.tolist()
-        d_news = score.best_d_new.tolist()
-        gaps = score.runner_gap.tolist()
+        blk = BlockLists(agg, score)
+        seg_ptr = blk.seg_ptr
+        seg_mods = blk.seg_mods
+        p_us, x_us, d_olds = blk.p_u, blk.x_u, blk.d_old
+        targets, deltas, d_news = blk.target, blk.delta, blk.d_new
+        gaps = blk.gap
 
         def commit(u: int, cur: int, tgt: int, p_u: float, x_u: float,
                    d_old: float, d_new: float) -> None:
@@ -126,7 +200,7 @@ def _sweep_batched(
             movers.add(u)
 
         for i, (u, cur, st) in enumerate(
-            zip(block.tolist(), agg.current.tolist(), stay.tolist())
+            zip(block.tolist(), blk.current, stay.tolist())
         ):
             if not touched:
                 # Snapshot still live: batch decision == scalar
@@ -138,10 +212,12 @@ def _sweep_batched(
             a = seg_ptr[i]
             b = seg_ptr[i + 1]
             if cur not in touched and touched.isdisjoint(seg_mods[a:b]):
-                s_now = stats.sum_exit
+                # Only the exit sum drifted (and no neighbour moved: a
+                # mover's old module would be in the segment).
+                s_now = float(stats.sum_exit)
                 bound = drift_guard_bound(s_now - s0, x_us[i], s0, s_now)
                 if bound > 0.0:
-                    bound += _SEQ_GUARD_SLACK
+                    bound += CERT_SLACK
                 margin = deltas[i] + mi
                 if margin >= bound:
                     continue  # provably stays under live stats
@@ -149,23 +225,34 @@ def _sweep_batched(
                     commit(u, cur, targets[i], p_us[i], x_us[i],
                            d_olds[i], d_news[i])
                     continue
-            # Inside the guard: re-score exactly against live stats.
-            if not movers.isdisjoint(
+            elif not movers.isdisjoint(
                 indices[indptr[u] : indptr[u + 1]].tolist()
             ):
+                # A neighbour moved: re-aggregate.
+                rescores += 1
                 prop = best_move(network, membership, stats, u,
                                  min_improvement=mi)
                 if prop.is_move:
                     commit(u, cur, prop.target, prop.p_u, prop.x_u,
                            prop.d_old, prop.d_new)
                 continue
+            else:
+                dec = _certify_touched(blk, i, cur, stats, touched, s0, mi)
+                if dec is not None:
+                    if dec[0] != cur:
+                        commit(u, cur, dec[0], p_us[i], x_us[i],
+                               d_olds[i], dec[1])
+                    continue
+            # Inside the guard: re-score the cached segment exactly
+            # against live stats.
+            rescores += 1
             tgt, delta, d_new = score_vertex(
                 stats, cur, agg.seg_mods[a:b], agg.seg_flows[a:b],
                 p_u=p_us[i], x_u=x_us[i], d_old=d_olds[i],
             )
             if delta < -mi:
                 commit(u, cur, tgt, p_us[i], x_us[i], d_olds[i], d_new)
-    return moved
+    return moved, rescores
 
 
 def cluster_level(
@@ -209,7 +296,9 @@ def cluster_level(
         work: optional counter dict; ``vertices_swept`` and
             ``edges_scanned`` are accumulated across sweeps (the
             O(changed region) evidence the incremental benchmark
-            asserts on).
+            asserts on), and ``exact_rescores`` counts the exact
+            per-vertex scorer calls (``score_vertex`` plus
+            ``best_move``), which each sweep span also carries.
         live: optional :class:`~repro.obs.live.LiveMetrics` row; each
             sweep publishes the round gauge and bumps the ``sweeps``,
             ``moves`` and ``edges_scanned`` live counters.  Like
@@ -260,15 +349,15 @@ def cluster_level(
                 lv.add("edges_scanned", scanned)
         prev = membership.copy() if active is not None else None
         buf.set_context(round=sweeps)
-        with buf.span("sweep"):
-            if config.batch_size > 0:
-                moved = _sweep_batched(
-                    network, membership, stats, sweep_order, config
-                )
-            else:
-                moved = _sweep_scalar(
-                    network, membership, stats, sweep_order, config
-                )
+        span_args: dict[str, int] = {}
+        with buf.span("sweep", args=span_args):
+            sweep = _sweep_batched if config.batch_size > 0 else _sweep_scalar
+            moved, rescores = sweep(
+                network, membership, stats, sweep_order, config
+            )
+            span_args["exact_rescores"] = rescores
+        if work is not None:
+            work["exact_rescores"] = work.get("exact_rescores", 0) + rescores
         if buf.enabled:
             buf.instant("sweep_done", args={"moves": int(moved)})
             buf.counter("moves", int(moved))

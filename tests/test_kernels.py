@@ -2,10 +2,12 @@
 
 The batched engine in :mod:`repro.core.kernels` is *decision-equivalent
 by construction*: both the sequential and the distributed sweep commit
-batch decisions only where a drift bound certifies them, and re-score
-every other vertex exactly against the live module aggregates — on the
-chunk's cached neighbour-module segment when no neighbour of the vertex
-has moved since the chunk was scored, on a fresh aggregation otherwise.
+batch decisions only where a drift bound certifies them (the sequential
+sweep also on batch deltas shifted past commits that touched a vertex's
+modules), and re-score every other vertex exactly against the live
+module aggregates — on the chunk's cached neighbour-module segment when
+no neighbour of the vertex has moved since the chunk was scored, on a
+fresh aggregation otherwise.
 These tests pin the contract down: same graph + same config (modulo
 ``batch_size``) must give *identical* memberships and
 *bitwise-identical* codelengths, and the cached-segment re-score must
@@ -35,11 +37,16 @@ from repro.core import (
     sequential_infomap,
 )
 from repro.core.distributed import (
-    _BATCH_STAY_SLACK,
     _evaluate_move,
     _score_candidates,
 )
-from repro.core.kernels import BlockAggregates, score_block, score_block_table
+from repro.core.kernels import (
+    CERT_SLACK,
+    BlockAggregates,
+    BlockLists,
+    score_block,
+    score_block_table,
+)
 from repro.core.mapequation import delta_codelength
 from repro.core.swap import LocalModuleState, TableArrays
 from repro.graph import (
@@ -164,7 +171,7 @@ class TestAggregateBlockFlows:
             return score_block(
                 agg, q_seg=q, p_seg=p_seg,
                 q_old=np.array([0.2, 0.1]), p_old=np.array([0.3, 0.2]),
-                sum_exit=1.0, keep_candidates=True,
+                sum_exit=1.0,
             )
 
         sc = score(q_seg)
@@ -179,7 +186,7 @@ class TestAggregateBlockFlows:
         nudged = q_seg.copy()
         nudged[2] = np.nextafter(nudged[2], 1.0)
         gap = float(score(nudged).runner_gap[0])
-        assert 0.0 <= gap < 2.0 * _BATCH_STAY_SLACK
+        assert 0.0 <= gap < 2.0 * CERT_SLACK
 
 
 def _bits(x: float) -> bytes:
@@ -570,3 +577,220 @@ class TestBatchSmoke4Ranks:
         assert res.codelength > 0.0
         scalar = distributed_infomap(lg.graph, 4, _cfg(0, seed=1))
         assert res.codelength == scalar.codelength
+
+
+# ---------------------------------------------------------------------------
+# Touched-module certification: shifted batch deltas, exact decisions
+# ---------------------------------------------------------------------------
+def _touch_kind(cur, cands, touched):
+    cur_hit = cur in touched
+    cand_hit = not touched.isdisjoint(cands)
+    if cur_hit and cand_hit:
+        return "both"
+    return "current" if cur_hit else "candidate" if cand_hit else None
+
+
+def _noisy_labels(labels, k, noise, rng):
+    """Planted labels with a *noise* fraction of vertices misplaced."""
+    memb = np.asarray(labels, dtype=np.int64).copy()
+    moved = rng.random(memb.size) < noise
+    memb[moved] = rng.integers(0, k, size=int(moved.sum()))
+    return memb
+
+
+def _forced_target(rng, force, others, fresh):
+    """With probability *force*, a forced move's target: a neighbour
+    module from *others*, or the unused module id *fresh* (which touches
+    only the mover's old module among the snapshot's candidates)."""
+    if rng.random() >= force:
+        return None
+    if others.size and rng.random() < 0.5:
+        return int(rng.choice(others))
+    return fresh
+
+
+def _flow_into(mods, flows, m):
+    hit = np.flatnonzero(mods == m)
+    return float(flows[hit[0]]) if hit.size else 0.0
+
+
+def _walk_sequential(seed, k, size, force, noise=None, p_out=0.05):
+    """Walk one scored block of a random planted graph like the batched
+    sweep, committing the exact move or, with probability *force*, a
+    forced one (:func:`_forced_target`).  Every vertex whose current or
+    candidate module a commit touched, while none of its neighbours has
+    moved, is certified and compared with ``score_vertex`` on the live
+    stats.  Returns ``{(touch kind, outcome): count}``."""
+    from repro.core.sequential import _certify_touched
+
+    lgraph = planted_partition(k, size, 0.5, p_out, seed=seed)
+    g = lgraph.graph
+    if g.total_weight <= 0:
+        return {}
+    net = FlowNetwork.from_graph(g)
+    n = g.num_vertices
+    rng = np.random.default_rng(seed)
+    if noise is not None:
+        membership = _noisy_labels(lgraph.labels, k, noise, rng)
+    else:
+        membership = np.where(
+            rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, size=n)
+        ).astype(np.int64)
+    stats = ModuleStats.from_membership(net, membership)
+    mi = InfomapConfig().min_improvement
+    block = rng.permutation(n).astype(np.int64)
+    agg, score = score_block_stats(net, membership, stats, block)
+    blk = BlockLists(agg, score)
+    s0 = float(stats.sum_exit)
+    touched: set[int] = set()
+    movers: set[int] = set()
+    seen: dict = {}
+    for i, u in enumerate(block.tolist()):
+        cur = int(membership[u])
+        a, b = int(agg.seg_ptr[i]), int(agg.seg_ptr[i + 1])
+        mods, flows = agg.seg_mods[a:b], agg.seg_flows[a:b]
+        kind = _touch_kind(cur, set(mods.tolist()) - {cur}, touched)
+        if kind and movers.isdisjoint(g.neighbors(u).tolist()):
+            got = _certify_touched(blk, i, cur, stats, touched, s0, mi)
+            tgt, delta, d_new = score_vertex(
+                stats, cur, mods, flows, p_u=float(agg.p_u[i]),
+                x_u=float(agg.x_u[i]), d_old=float(agg.d_old[i]),
+            )
+            outcome = "gray"
+            if got is not None:
+                want = tgt if delta < -mi else cur
+                assert got[0] == want, (u, got, want)
+                if want != cur:
+                    assert _bits(got[1]) == _bits(d_new)
+                outcome = "stay" if want == cur else "move"
+            seen[kind, outcome] = seen.get((kind, outcome), 0) + 1
+        nmods, nflows, x_u = neighbor_module_flows(net, membership, u)
+        tgt = _forced_target(rng, force, nmods[nmods != cur], n + i)
+        if tgt is None:
+            tgt = best_move(net, membership, stats, u).target
+        if tgt != cur:
+            stats.apply_move(
+                old=cur, new=tgt, p_u=float(net.node_flow[u]), x_u=x_u,
+                d_old=_flow_into(nmods, nflows, cur),
+                d_new=_flow_into(nmods, nflows, tgt),
+            )
+            membership[u] = tgt
+            touched.update((cur, tgt))
+            movers.add(u)
+    return seen
+
+
+class TestTouchedCertifier:
+    """A vertex whose current or candidate module an earlier commit in
+    its block touched is certified on shifted batch deltas; every
+    certified (non-gray) outcome must be the exact scorer's on the live
+    aggregates."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        k=st.integers(2, 20),
+        size=st.integers(4, 16),
+        force=st.sampled_from([0.0, 0.1, 0.4]),
+        noise=st.sampled_from([None, 0.0, 0.1, 0.3]),
+        p_out=st.sampled_from([0.005, 0.05]),
+    )
+    def test_property_sequential_matches_score_vertex(
+        self, seed, k, size, force, noise, p_out
+    ):
+        _walk_sequential(seed, k, size, force, noise, p_out)
+
+    def test_every_touch_kind_certifies(self):
+        # Many small, sparsely linked communities: a commit touches few
+        # of a vertex's modules, so every kind of touch occurs.
+        seq: dict = {}
+        for seed in range(3):
+            for key, c in _walk_sequential(
+                seed, 20, 10, 0.1, 0.1, 0.005
+            ).items():
+                seq[key] = seq.get(key, 0) + c
+        for kind in ("current", "candidate", "both"):
+            for outcome in ("stay", "move"):
+                assert seq.get((kind, outcome), 0) > 0, (kind, outcome, seq)
+
+    def test_sequential_shift_decides_after_current_module_empties(self):
+        # Every co-member of u that is not its neighbour leaves for a
+        # fresh module: only u's current module changed, often enough
+        # to flip u's stale batch decision.  The certified outcome must
+        # be the live one, never the stale one.
+        from repro.core.sequential import _certify_touched
+
+        g = planted_partition(4, 12, 0.3, 0.05, seed=4).graph
+        net = FlowNetwork.from_graph(g)
+        n = g.num_vertices
+        base = np.random.default_rng(4).integers(0, 4, size=n)
+        mi = InfomapConfig().min_improvement
+        flips = 0
+        for u in range(n):
+            membership = base.astype(np.int64)
+            stats = ModuleStats.from_membership(net, membership)
+            agg, score = score_block_stats(
+                net, membership, stats, np.array([u])
+            )
+            blk = BlockLists(agg, score)
+            s0 = float(stats.sum_exit)
+            cur = int(membership[u])
+            nbrs = set(g.neighbors(u).tolist())
+            touched: set[int] = set()
+            for j, w in enumerate(np.flatnonzero(membership == cur).tolist()):
+                if w == u or w in nbrs:
+                    continue
+                mods, flows, x_w = neighbor_module_flows(net, membership, w)
+                stats.apply_move(
+                    old=cur, new=n + j, p_u=float(net.node_flow[w]),
+                    x_u=x_w, d_old=_flow_into(mods, flows, cur), d_new=0.0,
+                )
+                membership[w] = n + j
+                touched.update((cur, n + j))
+            if not touched:
+                continue
+            got = _certify_touched(blk, 0, cur, stats, touched, s0, mi)
+            tgt, delta, _ = score_vertex(
+                stats, cur, agg.seg_mods, agg.seg_flows,
+                p_u=float(agg.p_u[0]), x_u=float(agg.x_u[0]),
+                d_old=float(agg.d_old[0]),
+            )
+            want = tgt if delta < -mi else cur
+            stale = int(score.best_target[0]) if (
+                float(score.best_delta[0]) < -mi) else cur
+            if got is not None:
+                assert got[0] == want, u
+                flips += stale != want
+        assert flips > 0
+
+class TestExactRescoreCount:
+    """The batched sequential sweep counts its exact per-vertex re-scores
+    (``score_vertex`` plus ``best_move`` calls) in ``work`` and on each
+    sweep span.  A certifier that silently went all-gray would keep
+    every decision and lose the speed; this count catches it."""
+
+    #: Exact re-scores of this solve before touched-module certification.
+    BEFORE = 5501
+
+    def test_touched_certification_halves_exact_rescores(self):
+        from repro.graph.datasets import load_dataset
+        from repro.obs.trace import Tracer
+
+        g = load_dataset("friendster", seed=0, scale=0.05).graph
+        work: dict = {}
+        tracer = Tracer()
+        sequential_infomap(g, InfomapConfig(seed=1), work=work, tracer=tracer)
+        assert 0 < work["exact_rescores"] <= self.BEFORE // 2
+        spans = [
+            ev for ev in tracer.merged_events()
+            if ev["kind"] == "span" and ev["name"] == "sweep"
+        ]
+        assert sum(ev["args"]["exact_rescores"] for ev in spans) == (
+            work["exact_rescores"]
+        )
+
+    def test_scalar_sweep_rescores_every_visit(self):
+        g = planted_partition(4, 12, 0.5, 0.05, seed=9).graph
+        work: dict = {}
+        sequential_infomap(g, _cfg(0, seed=1), work=work)
+        assert work["exact_rescores"] == work["vertices_swept"]
