@@ -3,7 +3,12 @@
 One dataclass covers both: the distributed-only knobs are ignored by
 the sequential solver.  Every field corresponds to a parameter the
 paper names (θ, max iterations, d_high, the min-label heuristic, the
-full-module-info swap) or an ablation DESIGN.md calls out.
+full-module-info swap), an ablation DESIGN.md calls out, or a setting
+a benchmark or the CLI varies.  Fixed guards no run varies are module
+constants beside their readers: ``sequential.MAX_SWEEPS``,
+``moves.MIN_IMPROVEMENT``, ``distributed.TIE_EPS`` and
+``distributed.MIN_VERTICES_PER_RANK``, ``rebalance.MAX_VERTICES`` and
+``shard.DEFAULT_CHUNK_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -24,9 +29,6 @@ class InfomapConfig:
             bits.
         max_levels: cap on outer iterations (Algorithm 1's
             ``maxiteration``).
-        max_sweeps: cap on inner full-graph move sweeps per level.
-        min_improvement: a single move must beat this margin to count
-            (strict ``δL < 0`` with float-noise guard).
         seed: RNG seed for the randomized vertex visit order
             (Algorithm 1 line 13).
         shuffle: randomize the visit order each sweep; False gives the
@@ -49,14 +51,12 @@ class InfomapConfig:
         rebalance_threshold: max/mean work-skew ratio that triggers a
             migration (must be >= 1; 1.0 rebalances on any skew).
         rebalance_interval: check the skew every this many move/swap
-            rounds within a level.
-        rebalance_max_vertices: cap on vertices migrated per event (a
-            safety valve so one decision cannot ship half a rank).
+            rounds within a level.  Each event migrates at most
+            ``rebalance.MAX_VERTICES`` vertices.
         min_label: apply the min-label anti-bouncing rule to boundary
-            moves (§3.4); turning it off is the non-convergence
-            ablation.
-        tie_eps: two candidate deltas within this margin count as tied
-            for the min-label rule.
+            moves (§3.4): candidates within ``distributed.TIE_EPS`` of
+            the best tie toward the smallest id.  Turning it off is the
+            non-convergence ablation.
         full_module_info: swap whole-community ``Module_Info`` records
             (Algorithm 3).  False falls back to the naive boundary-ID
             exchange the paper shows loses accuracy — the information
@@ -84,14 +84,6 @@ class InfomapConfig:
             subset only and the minimum local ΔL wins — which is cheap
             and adequate when every rank holds millions of hub edges;
             it is kept as the fidelity ablation.
-        min_vertices_per_rank: stage-2 levels whose coarse graph has
-            fewer than this many vertices per rank shrink onto a subset
-            of ranks (``p_eff = n // min_vertices_per_rank``), down to
-            one rank for tiny graphs.  Spreading a 100-vertex graph
-            over 16 ranks buys no parallelism and maximizes
-            synchronized-move noise; real MPI codes drop to a
-            sub-communicator in exactly this situation.  Set to 1 for
-            the paper-literal all-ranks behaviour.
         prune_inactive: after the first round of a level, re-evaluate
             only vertices whose neighbourhood or module changed (the
             prioritization idea of Bae et al.'s follow-up work, cited
@@ -146,17 +138,6 @@ class InfomapConfig:
             neighbourhood term a delta can change; raise it to widen
             the re-optimized region (more work, potentially better
             quality on aggressive deltas).
-        warm_reseed_singletons: when True (default) the dirty-frontier
-            vertices re-enter the warm solve as singletons, letting
-            them re-choose a module from scratch; False keeps their
-            cached module assignment and merely marks them active — a
-            cheaper but more conservative repair, kept as an ablation.
-        ooc_chunk_entries: adjacency entries read per chunk when an
-            out-of-core rank streams its shard from a CSR store
-            (:func:`repro.partition.shard.load_shard`).  Bounds the
-            load-time temporaries to ~24 bytes x this many entries per
-            rank; results are chunk-size invariant (bitwise), so this
-            only trades peak RSS against read-call overhead.
         tracer: optional :class:`~repro.obs.trace.Tracer` receiving the
             run's per-rank event stream (phase spans, round convergence
             samples, communication counters).  ``None`` (default) turns
@@ -185,8 +166,6 @@ class InfomapConfig:
 
     threshold: float = 1e-8
     max_levels: int = 50
-    max_sweeps: int = 30
-    min_improvement: float = 1e-12
     seed: int = 42
     shuffle: bool = True
 
@@ -195,23 +174,18 @@ class InfomapConfig:
     dynamic_rebalance: bool = False
     rebalance_threshold: float = 1.25
     rebalance_interval: int = 2
-    rebalance_max_vertices: int = 4096
     min_label: bool = True
-    tie_eps: float = 1e-10
     full_module_info: bool = True
     move_rule: str = "map_equation"
     delta_swap: bool = True
     delegate_consensus: str = "aggregate"
     prune_inactive: bool = True
-    min_vertices_per_rank: int = 32
     round_threshold_rel: float = 1e-4
     max_rounds: int = 60
     batch_size: int = 256
     overlap: bool = True
     backend: str = "threads"
     warm_dirty_hops: int = 1
-    warm_reseed_singletons: bool = True
-    ooc_chunk_entries: int = 1 << 20
     tracer: Any = field(default=None, compare=False, repr=False)
     live: Any = field(default=None, compare=False, repr=False)
 
@@ -220,10 +194,6 @@ class InfomapConfig:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.max_levels < 1:
             raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.min_improvement < 0:
-            raise ValueError("min_improvement must be >= 0")
         if self.d_high is not None and self.d_high < 1:
             raise ValueError(f"d_high must be >= 1 or None, got {self.d_high}")
         if self.max_rounds < 1:
@@ -235,10 +205,6 @@ class InfomapConfig:
             )
         if self.rebalance_interval < 1:
             raise ValueError("rebalance_interval must be >= 1")
-        if self.rebalance_max_vertices < 1:
-            raise ValueError("rebalance_max_vertices must be >= 1")
-        if self.min_vertices_per_rank < 1:
-            raise ValueError("min_vertices_per_rank must be >= 1")
         if self.round_threshold_rel < 0:
             raise ValueError("round_threshold_rel must be >= 0")
         if self.batch_size < 0:
@@ -249,10 +215,6 @@ class InfomapConfig:
         if self.warm_dirty_hops < 0:
             raise ValueError(
                 f"warm_dirty_hops must be >= 0, got {self.warm_dirty_hops}"
-            )
-        if self.ooc_chunk_entries < 1:
-            raise ValueError(
-                f"ooc_chunk_entries must be >= 1, got {self.ooc_chunk_entries}"
             )
         if self.move_rule not in ("map_equation", "max_flow"):
             raise ValueError(

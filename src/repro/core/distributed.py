@@ -48,6 +48,7 @@ from ..partition.delegates import delegate_partition
 from ..partition.distgraph import LocalGraph, build_local_graphs, local_views_1d
 from ..partition.oned import OneDPartition
 from ..partition.rebalance import maybe_rebalance
+from ..partition.shard import load_shard
 from ..simmpi.comm import Communicator
 from ..simmpi.costmodel import MachineModel
 from ..simmpi.engine import run_spmd
@@ -61,6 +62,7 @@ from .kernels import (
     score_block_table,
 )
 from .mapequation import plogp
+from .moves import MIN_IMPROVEMENT
 from .result import ClusteringResult, LevelRecord
 from .swap import Contribution, LocalModuleState
 from .timing import (
@@ -79,6 +81,16 @@ __all__ = [
 ]
 
 log = get_logger("core.distributed")
+
+#: Min-label rule (§3.4): a boundary candidate whose ΔL is within this
+#: margin of the best counts as tied, and ties go to the smallest id.
+TIE_EPS = 1e-10
+
+#: Stage-2 levels whose coarse graph has fewer than this many vertices
+#: per rank shrink onto ``p_eff = n // MIN_VERTICES_PER_RANK`` ranks,
+#: down to one for tiny graphs: spreading a 100-vertex graph over 16
+#: ranks buys no parallelism and maximizes synchronized-move noise.
+MIN_VERTICES_PER_RANK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +220,7 @@ def _score_candidates(
 
     best_idx = min(range(len(deltas)), key=deltas.__getitem__)
     best_delta = deltas[best_idx]
-    if best_delta >= -cfg.min_improvement:
+    if best_delta >= -MIN_IMPROVEMENT:
         return None
 
     target = cand[best_idx]
@@ -216,7 +228,7 @@ def _score_candidates(
         # Near-ties also break toward the minimum label, so that two
         # ranks scoring the same vertex pick the same winner.
         for i, dl in enumerate(deltas):  # cand ascends by module id
-            if dl <= best_delta + cfg.tie_eps:
+            if dl <= best_delta + TIE_EPS:
                 best_idx = i
                 break
         best_delta = deltas[best_idx]
@@ -273,8 +285,8 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
       the scalar argmin provably equals the batch argmin, commit it
       directly (after certifying the min-label near-tie re-break on
       the retained per-candidate deltas: the first admissible
-      candidate within ``tie_eps`` of the best must be decidable to
-      ``±2e``, otherwise it is a gray zone).
+      candidate within :data:`TIE_EPS` of the best must be decidable
+      to ``±2e``, otherwise it is a gray zone).
 
     Everything else — vertices whose current/candidate modules were
     touched by an earlier commit in the *same chunk*, and gray-zone
@@ -299,8 +311,7 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
     boundary_mods = level.bmods
     lg = state.lg
     indptr, nbr = lg.indptr, lg.nbr
-    mi = cfg.min_improvement
-    tie = cfg.tie_eps
+    mi = MIN_IMPROVEMENT
     work = 0
     bs = cfg.batch_size
     use_minlabel = cfg.min_label and bool(boundary_mods)
@@ -381,12 +392,12 @@ def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
                     if cfg.min_label and tgt in boundary_mods:
                         # Certify the near-tie re-break: the scalar
                         # path re-targets the first candidate within
-                        # tie_eps of its best, scanning ascending
+                        # TIE_EPS of its best, scanning ascending
                         # module ids.
                         ca = int(score.cand_ptr[i])
                         cb = int(score.cand_ptr[i + 1])
                         cd = score.cand_deltas[ca:cb]
-                        thresh = best_deltas[i] + tie
+                        thresh = best_deltas[i] + TIE_EPS
                         j = int(np.argmax(cd <= thresh + 2.0 * e))
                         if int(score.cand_mods[ca + j]) == tgt:
                             pass  # re-break lands on the argmin itself
@@ -1335,7 +1346,7 @@ def _merge_to_coarse(
 # ---------------------------------------------------------------------------
 
 def _load_shard(
-    comm: Communicator, cfg: InfomapConfig, store_dir: str, plan: Any
+    comm: Communicator, store_dir: str, plan: Any
 ) -> tuple[LocalGraph, dict[str, Any]]:
     """Build this rank's local view from its shard of an on-disk store.
 
@@ -1346,15 +1357,8 @@ def _load_shard(
     backend a child's peak-RSS counter resets to the fork-time RSS, so
     ``peak - rss_before`` isolates shard-driven growth.
     """
-    # Lazy import: partition/__init__ imports shard, which reaches back
-    # into core.timing — a module-level import here would close the
-    # cycle against a partially-initialized module.
-    from ..partition.shard import load_shard
-
     rss_before = current_rss_bytes()
-    lg, ingest = load_shard(
-        comm, store_dir, plan, chunk_entries=cfg.ooc_chunk_entries
-    )
+    lg, ingest = load_shard(comm, store_dir, plan)
     ingest["rss_before_bytes"] = rss_before
     # Peak at the end of the load stage: the number the out-of-core
     # guard holds against the shard budget.  The later whole-run peak
@@ -1430,7 +1434,7 @@ def _rank_program(
     """
     ingest = None
     if shard is not None:
-        lg, ingest = _load_shard(comm, cfg, *shard)
+        lg, ingest = _load_shard(comm, *shard)
     else:
         lg = views[comm.rank]
     buf = comm.trace
@@ -1494,11 +1498,10 @@ def _rank_program(
         with _level_scope(comm, records, level, cn) as row:
             with timer.phase(PHASE_OTHER):
                 # Small coarse graphs concentrate onto fewer ranks (see
-                # InfomapConfig.min_vertices_per_rank); idle ranks still
-                # join every collective so the SPMD schedule stays
-                # aligned.
+                # MIN_VERTICES_PER_RANK); idle ranks still join every
+                # collective so the SPMD schedule stays aligned.
                 p = comm.size
-                p_eff = max(1, min(p, cn // cfg.min_vertices_per_rank))
+                p_eff = max(1, min(p, cn // MIN_VERTICES_PER_RANK))
                 owner = np.arange(cn, dtype=np.int64) % p_eff
                 part = OneDPartition(owner=owner, nranks=p)
                 lg2 = local_views_1d(net, part)[comm.rank]

@@ -47,12 +47,7 @@ from .sequential import sequential_infomap
 __all__ = ["IncrementalSession", "warm_seed_membership"]
 
 
-def warm_seed_membership(
-    cached: np.ndarray,
-    dirty: np.ndarray,
-    *,
-    reseed_singletons: bool = True,
-) -> np.ndarray:
+def warm_seed_membership(cached: np.ndarray, dirty: np.ndarray) -> np.ndarray:
     """Seed membership for a warm start, in vertex-id label space.
 
     Solver module labels must live in ``[0, n)`` and a dirty vertex
@@ -60,10 +55,6 @@ def warm_seed_membership(
     Vertex-id space gives both for free: each cached module is relabeled
     to the minimum vertex id among its *clean* members (clean vertices
     cannot collide with dirty singletons, which take their own ids).
-
-    With ``reseed_singletons=False`` (the conservative ablation) dirty
-    vertices keep their cached module — each module then takes its
-    minimum member's id over *all* members.
     """
     cached = np.asarray(cached, dtype=np.int64)
     dirty = np.asarray(dirty, dtype=bool)
@@ -77,12 +68,9 @@ def warm_seed_membership(
     k = int(cached.max()) + 1
     ids = np.arange(n, dtype=np.int64)
     rep = np.full(k, n, dtype=np.int64)
-    if reseed_singletons:
-        clean = np.flatnonzero(~dirty)
-        np.minimum.at(rep, cached[clean], clean)
-        return np.where(dirty, ids, rep[cached])
-    np.minimum.at(rep, cached, ids)
-    return rep[cached]
+    clean = np.flatnonzero(~dirty)
+    np.minimum.at(rep, cached[clean], clean)
+    return np.where(dirty, ids, rep[cached])
 
 
 class IncrementalSession:
@@ -97,8 +85,8 @@ class IncrementalSession:
 
     Args:
         graph: the base snapshot.
-        config: solver knobs; ``warm_dirty_hops`` and
-            ``warm_reseed_singletons`` control the warm start.
+        config: solver knobs; ``warm_dirty_hops`` sets the warm
+            start's dirty region.
         nranks: 1 (default) runs the sequential solver; more ranks run
             the distributed solver, whose per-rank views persist across
             batches and are spliced in place per delta.
@@ -220,11 +208,7 @@ class IncrementalSession:
         t0 = time.perf_counter()
         patched = apply_delta(self.graph, delta)
         dirty = dirty_region(patched, delta, hops=cfg.warm_dirty_hops)
-        seed = warm_seed_membership(
-            self.result.membership,
-            dirty,
-            reseed_singletons=cfg.warm_reseed_singletons,
-        )
+        seed = warm_seed_membership(self.result.membership, dirty)
         t_apply = time.perf_counter() - t0
 
         repair_stats: dict[str, Any] | None = None

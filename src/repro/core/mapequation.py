@@ -135,10 +135,6 @@ class ModuleStats:
         """Number of non-empty modules."""
         return int(np.count_nonzero(self.members))
 
-    @property
-    def num_slots(self) -> int:
-        return self.sum_p.size
-
     def module_ids(self) -> np.ndarray:
         return np.flatnonzero(self.members)
 

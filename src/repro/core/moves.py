@@ -23,11 +23,16 @@ from .kernels import aggregate_module_flows
 from .mapequation import ModuleStats
 
 __all__ = [
+    "MIN_IMPROVEMENT",
     "MoveProposal",
     "neighbor_module_flows",
     "score_vertex",
     "best_move",
 ]
+
+#: A move must achieve ``δL < -MIN_IMPROVEMENT`` to count: the paper's
+#: strict ``δL < 0`` with a float-noise guard.  Both solvers read it.
+MIN_IMPROVEMENT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,21 +152,16 @@ def best_move(
     membership: np.ndarray,
     stats: ModuleStats,
     u: int,
-    *,
-    min_improvement: float = 1e-12,
 ) -> MoveProposal:
     """Evaluate all neighbouring modules of ``u`` and pick the best.
 
     Ties break toward the first-found best, i.e. the smallest module id
     (the candidates are the sorted unique neighbour modules).
 
-    Args:
-        min_improvement: a move must achieve ``delta < -min_improvement``
-            (the paper's strict ``δL < 0`` with a float-noise guard).
-
     Returns:
         A :class:`MoveProposal`; ``target == current`` when staying put
-        is (weakly) best.
+        is (weakly) best, or better by no more than
+        :data:`MIN_IMPROVEMENT`.
     """
     current = int(membership[u])
     mods, flows, x_u = neighbor_module_flows(network, membership, u)
@@ -174,7 +174,7 @@ def best_move(
     target, delta, d_new = score_vertex(
         stats, current, mods, flows, p_u=p_u, x_u=x_u, d_old=d_old
     )
-    if delta >= -min_improvement:
+    if delta >= -MIN_IMPROVEMENT:
         target, delta, d_new = current, 0.0, d_old
     return MoveProposal(
         vertex=u, current=current, target=target, delta=delta,

@@ -34,10 +34,13 @@ from .kernels import (
     score_block_stats,
 )
 from .mapequation import ModuleStats
-from .moves import best_move, score_vertex
+from .moves import MIN_IMPROVEMENT, best_move, score_vertex
 from .result import ClusteringResult, LevelRecord
 
 __all__ = ["SequentialInfomap", "cluster_level", "sequential_infomap"]
+
+#: Cap on full-graph move sweeps per level (Algorithm 1's inner loop).
+MAX_SWEEPS = 30
 
 
 def _sweep_scalar(
@@ -53,10 +56,7 @@ def _sweep_scalar(
     """
     moved = 0
     for u in order:
-        prop = best_move(
-            network, membership, stats, int(u),
-            min_improvement=config.min_improvement,
-        )
+        prop = best_move(network, membership, stats, int(u))
         if prop.is_move:
             stats.apply_move(
                 old=prop.current, new=prop.target,
@@ -160,7 +160,7 @@ def _sweep_batched(
 
     Returns ``(moves, exact re-scores)``.
     """
-    mi = config.min_improvement
+    mi = MIN_IMPROVEMENT
     bs = config.batch_size
     g = network.graph
     indptr, indices = g.indptr, g.indices
@@ -230,8 +230,7 @@ def _sweep_batched(
             ):
                 # A neighbour moved: re-aggregate.
                 rescores += 1
-                prop = best_move(network, membership, stats, u,
-                                 min_improvement=mi)
+                prop = best_move(network, membership, stats, u)
                 if prop.is_move:
                     commit(u, cur, prop.target, prop.p_u, prop.x_u,
                            prop.d_old, prop.d_new)
@@ -271,7 +270,7 @@ def cluster_level(
     """One level of greedy clustering: Lines 7–23 of Algorithm 1.
 
     Starts from singleton modules and sweeps vertices in randomized
-    order until a sweep commits no move (or ``max_sweeps``).
+    order until a sweep commits no move (or :data:`MAX_SWEEPS`).
 
     Args:
         node_term: level-0 ``−Σ plogp(p_α)`` to thread through coarse
@@ -327,7 +326,7 @@ def cluster_level(
     order = np.arange(n)
     total_moves = 0
     sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         if config.shuffle:
             rng.shuffle(order)
         sweep_order = order if active is None else order[active[order]]

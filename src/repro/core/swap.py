@@ -503,71 +503,48 @@ class LocalModuleState:
         self,
         own: Contribution,
         received: "list[object]",
-        *,
-        ghost_singletons: bool = True,
     ) -> None:
         """Algorithm 3 lines 21-32: own contribution + received infos.
 
+        One concatenate + segment-reduce over all column batches; the
+        entry order (own first, then *received* in list order) fixes
+        every accumulated float bitwise.  Ghost/hub vertices still in
+        singleton modules the batches do not name are then seeded from
+        static preprocessing data (flow / exit0), so round 0 can score
+        moves before any info has been swapped.
+
         Args:
             own: this rank's exact contribution.
-            received: one batch per sending neighbour — either a list
-                of :class:`ModuleInfo` records, or the array wire form
+            received: one batch per sending neighbour — a list of
+                :class:`ModuleInfo` records, the array wire form
                 ``(mod_ids, sum_pr, exit_pr, num_members, is_sent)``
                 (what :meth:`prepare_swap` ships; same fields, one
-                array per column).
-            ghost_singletons: seed table entries for ghost/hub vertices
-                still in singleton modules from static preprocessing
-                data (flow / exit0), so round 0 can score moves before
-                any info has been swapped.
-        """
-        batches = []
-        for batch in received:
-            if isinstance(batch, tuple):
-                ids, sp, ex, nm, snt = batch
-            else:
-                ids = np.asarray(
-                    [i.mod_id for i in batch], dtype=np.int64
-                )
-                sp = np.asarray([i.sum_pr for i in batch])
-                ex = np.asarray([i.exit_pr for i in batch])
-                nm = np.asarray(
-                    [i.num_members for i in batch], dtype=np.int64
-                )
-                snt = np.asarray(
-                    [i.is_sent for i in batch], dtype=bool
-                )
-            # is_sent rows keep the id in the union (the receiver
-            # keeps the association) but add zero mass (line 29).
-            live = ~np.asarray(snt, dtype=bool)
-            batches.append((
-                np.asarray(ids, dtype=np.int64),
-                np.where(live, sp, 0.0),
-                np.where(live, ex, 0.0),
-                np.where(live, nm, 0),
-            ))
-        self._rebuild_array(
-            own, batches, ghost_singletons=ghost_singletons
-        )
-
-    def _rebuild_array(
-        self,
-        own: Contribution,
-        batches: "list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]",
-        *,
-        ghost_singletons: bool,
-    ) -> None:
-        """One concatenate + segment-reduce over all column batches.
-
-        Entry order (own first, then *batches* in list order) matches
-        the dict path's add sequence, so every accumulated float is
-        bitwise equal to the oracle's.
+                array per column), or a peer's cached contribution
+                ``(mod_ids, sum_pr, exit_pr, num_members)``.
         """
         ids_parts = [own.mod_ids]
         sp_parts = [own.sum_p]
         ex_parts = [own.exit]
         nm_parts = [own.members.astype(np.float64)]
-        for ids, sp, ex, nm in batches:
-            ids_parts.append(ids)
+        for batch in received:
+            if not isinstance(batch, tuple):
+                batch = (
+                    np.asarray([i.mod_id for i in batch], dtype=np.int64),
+                    np.asarray([i.sum_pr for i in batch]),
+                    np.asarray([i.exit_pr for i in batch]),
+                    np.asarray([i.num_members for i in batch],
+                               dtype=np.int64),
+                    np.asarray([i.is_sent for i in batch], dtype=bool),
+                )
+            ids, sp, ex, nm, *snt = batch
+            if snt:
+                # is_sent rows keep the id in the union (the receiver
+                # keeps the association) but add zero mass (line 29).
+                live = ~np.asarray(snt[0], dtype=bool)
+                sp = np.where(live, sp, 0.0)
+                ex = np.where(live, ex, 0.0)
+                nm = np.where(live, nm, 0)
+            ids_parts.append(np.asarray(ids, dtype=np.int64))
             sp_parts.append(np.asarray(sp, dtype=np.float64))
             ex_parts.append(np.asarray(ex, dtype=np.float64))
             nm_parts.append(np.asarray(nm, dtype=np.float64))
@@ -587,33 +564,32 @@ class LocalModuleState:
             sum_p = _EMPTY_F64.copy()
             exit_ = _EMPTY_F64.copy()
             members = _EMPTY_I64.copy()
-        if ghost_singletons:
-            lg = self.lg
-            idx = np.arange(lg.num_owned, lg.num_local)
-            mods = self.module_of[idx]
-            sel = mods == lg.global_of[idx]
-            if sel.any():
-                cand = mods[sel]
-                cand_idx = idx[sel]
-                # Keep the first occurrence per module id (ascending
-                # local index, like the dict loop), then seed only the
-                # ones the table does not already know.
-                cu, first = np.unique(cand, return_index=True)
-                miss = ~np.isin(cu, uniq)
-                if miss.any():
-                    add_ids = cu[miss]
-                    src = cand_idx[first[miss]]
-                    uniq = np.concatenate([uniq, add_ids])
-                    sum_p = np.concatenate([sum_p, lg.flow[src]])
-                    exit_ = np.concatenate([exit_, lg.exit0[src]])
-                    members = np.concatenate(
-                        [members, np.ones(add_ids.size, dtype=np.int64)]
-                    )
-                    srt = np.argsort(uniq, kind="stable")
-                    uniq = uniq[srt]
-                    sum_p = sum_p[srt]
-                    exit_ = exit_[srt]
-                    members = members[srt]
+        lg = self.lg
+        idx = np.arange(lg.num_owned, lg.num_local)
+        mods = self.module_of[idx]
+        sel = mods == lg.global_of[idx]
+        if sel.any():
+            cand = mods[sel]
+            cand_idx = idx[sel]
+            # Keep the first occurrence per module id (ascending local
+            # index), then seed only the ones the table does not
+            # already know.
+            cu, first = np.unique(cand, return_index=True)
+            miss = ~np.isin(cu, uniq)
+            if miss.any():
+                add_ids = cu[miss]
+                src = cand_idx[first[miss]]
+                uniq = np.concatenate([uniq, add_ids])
+                sum_p = np.concatenate([sum_p, lg.flow[src]])
+                exit_ = np.concatenate([exit_, lg.exit0[src]])
+                members = np.concatenate(
+                    [members, np.ones(add_ids.size, dtype=np.int64)]
+                )
+                srt = np.argsort(uniq, kind="stable")
+                uniq = uniq[srt]
+                sum_p = sum_p[srt]
+                exit_ = exit_[srt]
+                members = members[srt]
         self._table.reset(uniq, exit_, sum_p, members)
 
     def table_arrays(self) -> TableArrays:
@@ -627,12 +603,6 @@ class LocalModuleState:
             mod_ids=t.ids, exit=t.exit, sum_p=t.sum_p,
             members=t.members,
         )
-
-    def table_lookup(
-        self, mod_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (q_m, p_m) lookups for candidate modules."""
-        return self.table_arrays().lookup(mod_ids)
 
     def apply_local_move(
         self,
@@ -712,22 +682,6 @@ class LocalModuleState:
                 (default; the List-1 struct-of-arrays).  ``False``
                 returns ``list[ModuleInfo]`` records (tests, docs).
         """
-        out = self._prepare_swap_array(own, moved_hub_modules)
-        if as_arrays:
-            return out
-        return {
-            dest: [
-                ModuleInfo(int(m), float(sp), float(ex), int(nm), bool(snt))
-                for m, sp, ex, nm, snt in zip(*cols)
-            ]
-            for dest, cols in out.items()
-        }
-
-    def _prepare_swap_array(
-        self,
-        own: Contribution,
-        moved_hub_modules: "set[int] | None",
-    ) -> "dict[int, object]":
         lg = self.lg
         groups = lg.boundary_groups()
         hub_arr = (
@@ -758,7 +712,15 @@ class LocalModuleState:
             ex = np.where(is_first, ex, 0.0)
             nm = np.where(is_first, nm, 0)
             out[dest] = (seq, sp, ex, nm, ~is_first)
-        return out
+        if as_arrays:
+            return out
+        return {
+            dest: [
+                ModuleInfo(int(m), float(sp), float(ex), int(nm), bool(snt))
+                for m, sp, ex, nm, snt in zip(*cols)
+            ]
+            for dest, cols in out.items()
+        }
 
     # -- delta variants (cross-round change detection) ----------------------
     #
@@ -803,19 +765,6 @@ class LocalModuleState:
                 rank's contributions even though no boundary vertex
                 couples to them anymore.
         """
-        return self._prepare_swap_delta_array(
-            own, moved_hub_modules, refresh_sent=refresh_sent,
-            dests=dests,
-        )
-
-    def _prepare_swap_delta_array(
-        self,
-        own: Contribution,
-        moved_hub_modules: "set[int] | None",
-        *,
-        refresh_sent: bool = False,
-        dests: "list[int] | None" = None,
-    ) -> "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
         lg = self.lg
         last = self._last_cols
         if last is None:
@@ -899,20 +848,15 @@ class LocalModuleState:
                 ids[srt], sp[srt], ex[srt], nm[srt]
             )
 
-    def rebuild_table_from_caches(
-        self, own: Contribution, *, ghost_singletons: bool = True
-    ) -> None:
+    def rebuild_table_from_caches(self, own: Contribution) -> None:
         """Table = own contribution + every peer's cached contribution.
 
         Peers are folded in ascending source-rank order so the
         per-module accumulation sequence (and hence every float,
         bitwise) is independent of message arrival order.
         """
-        batches = [
-            self._peer_cols[src] for src in sorted(self._peer_cols)
-        ]
-        self._rebuild_array(
-            own, batches, ghost_singletons=ghost_singletons
+        self.rebuild_table(
+            own, [self._peer_cols[src] for src in sorted(self._peer_cols)]
         )
 
     def prepare_membership_sync_delta(

@@ -27,7 +27,16 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from ..obs.live import NULL_LIVE
+from ..obs.live import (
+    NULL_LIVE,
+    PHASE_BROADCAST_DELEGATES,
+    PHASE_FIND_BEST,
+    PHASE_INGEST,
+    PHASE_MEASUREMENT,
+    PHASE_OTHER,
+    PHASE_REBALANCE,
+    PHASE_SWAP_BOUNDARY,
+)
 from ..obs.trace import NULL_BUFFER
 from ..simmpi.comm import Communicator
 
@@ -43,23 +52,8 @@ __all__ = [
     "PHASES",
 ]
 
-#: Canonical phase names matching the paper's Figure 8 legend.
-PHASE_FIND_BEST = "find_best_module"
-PHASE_BROADCAST_DELEGATES = "broadcast_delegates"
-PHASE_SWAP_BOUNDARY = "swap_boundary_info"
-PHASE_OTHER = "other"
-#: Reproduction-only instrumentation (exact global codelength); not a
-#: paper phase and excluded from modeled runtime.
-PHASE_MEASUREMENT = "measurement"
-#: Mid-run dynamic repartitioning (see repro.partition.rebalance): the
-#: skew probe, victim migration and table resync all meter here, so
-#: migration traffic is separable from the paper's four phases.
-PHASE_REBALANCE = "rebalance"
-#: Out-of-core shard loading (see repro.partition.shard): memmap row
-#: reads plus the ghost flow/boundary exchange.  The paper excludes
-#: ingest from its measured stages, so this phase is likewise outside
-#: PHASES and the modeled runtime.
-PHASE_INGEST = "ingest"
+#: The paper's Figure 8 phases, in its legend order.  The names
+#: themselves are defined once, in :mod:`repro.obs.live`.
 PHASES = (
     PHASE_FIND_BEST,
     PHASE_BROADCAST_DELEGATES,

@@ -53,6 +53,13 @@ import numpy as np
 __all__ = [
     "LIVE_FIELDS",
     "SLOTS_PER_RANK",
+    "PHASE_FIND_BEST",
+    "PHASE_BROADCAST_DELEGATES",
+    "PHASE_SWAP_BOUNDARY",
+    "PHASE_OTHER",
+    "PHASE_MEASUREMENT",
+    "PHASE_REBALANCE",
+    "PHASE_INGEST",
     "PHASE_NAMES",
     "PHASE_IDS",
     "STATUS_RUNNING",
@@ -101,17 +108,35 @@ _IDX = {name: i + 1 for i, name in enumerate(LIVE_FIELDS)}
 _HEARTBEAT = _IDX["heartbeat"]
 _ROW_BYTES = SLOTS_PER_RANK * 8
 
-#: Phase id 0 means "no phase"; the rest follow repro.core.timing's
-#: canonical names (kept literal here so obs does not import core).
+#: The one phase vocabulary.  The paper's Figure 8 legend names the
+#: first four; :mod:`repro.core.timing` re-exports all of them.
+PHASE_FIND_BEST = "find_best_module"
+PHASE_BROADCAST_DELEGATES = "broadcast_delegates"
+PHASE_SWAP_BOUNDARY = "swap_boundary_info"
+PHASE_OTHER = "other"
+#: Reproduction-only instrumentation (exact global codelength); not a
+#: paper phase and excluded from modeled runtime.
+PHASE_MEASUREMENT = "measurement"
+#: Mid-run dynamic repartitioning (see repro.partition.rebalance): the
+#: skew probe, victim migration and table resync all meter here, so
+#: migration traffic is separable from the paper's four phases.
+PHASE_REBALANCE = "rebalance"
+#: Out-of-core shard loading (see repro.partition.shard): memmap row
+#: reads plus the ghost flow/boundary exchange.  The paper excludes
+#: ingest from its measured stages, so this phase is likewise outside
+#: ``repro.core.timing.PHASES`` and the modeled runtime.
+PHASE_INGEST = "ingest"
+
+#: Live-plane phase ids: 0 means "no phase".
 PHASE_NAMES = (
     "",
-    "find_best_module",
-    "broadcast_delegates",
-    "swap_boundary_info",
-    "other",
-    "measurement",
-    "rebalance",
-    "ingest",
+    PHASE_FIND_BEST,
+    PHASE_BROADCAST_DELEGATES,
+    PHASE_SWAP_BOUNDARY,
+    PHASE_OTHER,
+    PHASE_MEASUREMENT,
+    PHASE_REBALANCE,
+    PHASE_INGEST,
 )
 PHASE_IDS = {name: i for i, name in enumerate(PHASE_NAMES)}
 
@@ -132,11 +157,6 @@ _COUNTER_FIELDS = frozenset(
 #: possibly-torn row anyway (a stuck-odd generation means the writer
 #: died mid-update; better a stale sample than a hung observer).
 _READ_RETRIES = 64
-
-
-def phase_id(name: str | None) -> int:
-    """Map a phase name to its live-plane id (unknown names -> 0)."""
-    return PHASE_IDS.get(name or "", 0)
 
 
 class LiveMetrics:

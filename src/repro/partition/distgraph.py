@@ -140,9 +140,6 @@ class LocalGraph:
             self.indptr.nbytes + self.nbr.nbytes + self.nbr_flow.nbytes
         )
 
-    def owned_slice(self) -> slice:
-        return slice(0, self.num_owned)
-
     def hub_slice(self) -> slice:
         return slice(self.num_owned, self.num_owned + self.num_hubs)
 

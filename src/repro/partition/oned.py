@@ -122,9 +122,6 @@ class OneDPartition:
         """Global ids of the vertices owned by *rank*."""
         return np.flatnonzero(self.owner == rank)
 
-    def vertices_per_rank(self) -> np.ndarray:
-        return np.bincount(self.owner, minlength=self.nranks).astype(np.int64)
-
     def edges_per_rank(self, graph: Graph) -> np.ndarray:
         """Stored adjacency entries per rank — the paper's workload proxy.
 

@@ -27,7 +27,7 @@ sequence, so the SPMD schedule stays aligned):
    already coupled to the receiver cost the least new ghost fan-in.
    Greedy selection up to an entry budget of half the measured
    per-round donor-receiver work gap (the classic work-stealing
-   split), capped by ``rebalance_max_vertices`` and never emptying
+   split), capped by :data:`MAX_VERTICES` and never emptying
    the donor.
 3. **Announce** — ``allgatherv`` of the migrated vertex ids (+ row
    degrees), so every rank learns the migration set; an empty set
@@ -65,7 +65,7 @@ the acceptance check the benchmark asserts.
 This module deliberately imports nothing from :mod:`repro.core` (the
 distributed solver imports *us*; importing back would cycle).  The
 module state is duck-typed, constructed via ``state.__class__``; the
-phase name mirrors ``repro.core.timing.PHASE_REBALANCE``.
+phase name comes from :mod:`repro.obs.live`.
 """
 
 from __future__ import annotations
@@ -75,12 +75,14 @@ from typing import Any
 
 import numpy as np
 
+from ..obs.live import PHASE_REBALANCE
 from .distgraph import LocalGraph
 
-__all__ = ["PHASE_REBALANCE", "RebalanceOutcome", "maybe_rebalance"]
+__all__ = ["RebalanceOutcome", "maybe_rebalance"]
 
-#: Mirror of repro.core.timing.PHASE_REBALANCE (no core import here).
-PHASE_REBALANCE = "rebalance"
+#: Cap on vertices migrated per event: a safety valve so one decision
+#: cannot ship half a rank.
+MAX_VERTICES = 4096
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -177,7 +179,7 @@ def _rebalance_step(
         mig_pos = _select_victims(
             lg, works, donor, receiver,
             rounds_window=rounds_window,
-            max_vertices=cfg.rebalance_max_vertices,
+            max_vertices=MAX_VERTICES,
         )
         mig_gids = lg.global_of[mig_pos]
         mig_deg = (

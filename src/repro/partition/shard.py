@@ -38,15 +38,18 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.timing import PHASE_INGEST
 from ..graph.extcsr import ADJ_FILE, WTS_FILE, XADJ_FILE, store_header
+from ..obs.live import PHASE_INGEST
 from ..simmpi.comm import Communicator
 from .distgraph import LocalGraph
 from .oned import entry_balanced_bounds
 
 __all__ = ["ShardPlan", "plan_shards", "load_shard"]
 
-#: Adjacency entries read per chunk while streaming a shard.
+#: Adjacency entries read per chunk while streaming a shard.  Bounds the
+#: load-time temporaries to ~24 bytes x this many entries per rank;
+#: results are chunk-size invariant (bitwise), so this only trades peak
+#: RSS against read-call overhead.
 DEFAULT_CHUNK_ENTRIES = 1 << 20
 
 

@@ -208,17 +208,6 @@ class RequestSet:
         """Wait for every request; return their values in insertion order."""
         return [r.wait() for r in self._reqs]
 
-    def testall(self) -> "tuple[bool, list[Any] | None]":
-        """Probe all requests; ``(True, values)`` only when every one is
-        complete, else ``(False, None)`` (mpi4py: ``Request.Testall``)."""
-        done = True
-        for r in self._reqs:
-            ok, _v = r.test()
-            done = done and ok
-        if not done:
-            return False, None
-        return True, [r.wait() for r in self._reqs]
-
 
 class ReduceRequest(Request):
     """In-flight ``iallreduce`` (mpi4py: ``MPI_Iallreduce``).

@@ -49,7 +49,6 @@ teardown and drains leftover spill segments first.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from multiprocessing.shared_memory import SharedMemory
@@ -77,34 +76,13 @@ SPILL_WAIT = 0.02
 #: Slice length for semaphore waits, bounding abort-notice latency.
 _POLL_INTERVAL = 0.05
 
-#: Default nonblocking-acquire spin iterations an empty receive burns
-#: before parking in ``_POLL_INTERVAL`` semaphore slices.  Under
+#: Nonblocking-acquire spin iterations an empty receive burns before
+#: parking in ``_POLL_INTERVAL`` semaphore slices.  Under
 #: compute/communication overlap the matching record usually lands
 #: within microseconds of the consumer arriving, so a short spin (with
 #: ``sleep(0)`` yields, so a same-core producer can run) picks it up
-#: without paying a kernel park + up-to-50 ms wake.  Override with the
-#: ``REPRO_SHM_SPIN`` environment variable; ``0`` disables spinning
-#: (the legacy park-immediately behaviour).
-_SPIN_DEFAULT = 100
-
-_spin_budget_cache: "int | None" = None
-
-
-def _spin_budget() -> int:
-    """Spin iterations per empty receive (``REPRO_SHM_SPIN`` override).
-
-    Resolved once per process — rank processes inherit the launcher's
-    environment, so the knob is job-wide.  Invalid values fall back to
-    the default rather than failing a run over a typo.
-    """
-    global _spin_budget_cache
-    if _spin_budget_cache is None:
-        raw = os.environ.get("REPRO_SHM_SPIN", "")
-        try:
-            _spin_budget_cache = max(0, int(raw)) if raw else _SPIN_DEFAULT
-        except ValueError:
-            _spin_budget_cache = _SPIN_DEFAULT
-    return _spin_budget_cache
+#: without paying a kernel park + up-to-50 ms wake.
+_SPIN = 100
 
 
 def spill_out(parts: list, payload_len: int) -> bytes:
@@ -261,14 +239,14 @@ class ShmRing:
         """Block for the next record; None on timeout.
 
         Adaptive spin-then-wait: a bounded run of nonblocking acquire
-        attempts (see :func:`_spin_budget`) catches records that land
+        attempts (:data:`_SPIN`) catches records that land
         within microseconds without a kernel park; only then does the
         wait fall back to ``_POLL_INTERVAL`` semaphore slices, so
         *poll* (abort check) still runs while the kernel would
         otherwise park us indefinitely — in both phases.
         """
         deadline = time.monotonic() + timeout
-        for _ in range(_spin_budget()):
+        for _ in range(_SPIN):
             if poll is not None:
                 poll()
             if self._items.acquire(block=False):

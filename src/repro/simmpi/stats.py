@@ -230,14 +230,6 @@ class RankStats:
         return sum(self.decode_seconds_by_phase.values())
 
     @property
-    def total_wait_seconds(self) -> float:
-        return sum(self.wait_seconds_by_phase.values())
-
-    @property
-    def total_overlap_seconds(self) -> float:
-        return sum(self.overlap_seconds_by_phase.values())
-
-    @property
     def total_bytes_sent(self) -> int:
         """All bytes this rank pushed toward other ranks."""
         return self.p2p_bytes_sent + self.collective_bytes_in

@@ -108,13 +108,6 @@ class TestWarmSeed:
         assert seed[4] == 4
         assert len({seed[0], seed[1], seed[3], seed[4]}) == 4
 
-    def test_keep_cached_modules(self):
-        cached = np.array([0, 1, 0, 1], dtype=np.int64)
-        dirty = np.array([True, True, False, False])
-        seed = warm_seed_membership(cached, dirty, reseed_singletons=False)
-        assert seed[0] == seed[2] == 0
-        assert seed[1] == seed[3] == 1
-
     def test_labels_in_vertex_id_space(self):
         rng = np.random.default_rng(0)
         cached = rng.integers(0, 10, 50).astype(np.int64)

@@ -48,6 +48,7 @@ from repro.core.kernels import (
     score_block_table,
 )
 from repro.core.mapequation import delta_codelength
+from repro.core.moves import MIN_IMPROVEMENT
 from repro.core.swap import LocalModuleState, TableArrays
 from repro.graph import (
     barabasi_albert,
@@ -637,7 +638,7 @@ def _walk_sequential(seed, k, size, force, noise=None, p_out=0.05):
             rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, size=n)
         ).astype(np.int64)
     stats = ModuleStats.from_membership(net, membership)
-    mi = InfomapConfig().min_improvement
+    mi = MIN_IMPROVEMENT
     block = rng.permutation(n).astype(np.int64)
     agg, score = score_block_stats(net, membership, stats, block)
     blk = BlockLists(agg, score)
@@ -724,7 +725,7 @@ class TestTouchedCertifier:
         net = FlowNetwork.from_graph(g)
         n = g.num_vertices
         base = np.random.default_rng(4).integers(0, 4, size=n)
-        mi = InfomapConfig().min_improvement
+        mi = MIN_IMPROVEMENT
         flips = 0
         for u in range(n):
             membership = base.astype(np.int64)

@@ -86,6 +86,15 @@ class TestPlaneApi:
         row.update(phase="no-such-phase")
         assert row.value("phase") == 0
 
+    def test_every_timing_phase_has_a_live_id(self):
+        from repro.core import timing
+
+        names = [getattr(timing, n) for n in timing.__all__
+                 if n.startswith("PHASE_")]
+        assert len(names) == 7
+        assert all(PHASE_IDS.get(name, 0) > 0 for name in names)
+        assert set(timing.PHASES) <= set(names)
+
     def test_for_rank_bounds(self):
         plane = LivePlane(2)
         with pytest.raises(ValueError, match="rank"):

@@ -110,24 +110,7 @@ class TestShmRing:
         finally:
             ring.close(unlink=True)
 
-    def test_spin_budget_env_override(self, monkeypatch):
-        from repro.simmpi import shm
-
-        monkeypatch.setattr(shm, "_spin_budget_cache", None)
-        monkeypatch.setenv("REPRO_SHM_SPIN", "7")
-        assert shm._spin_budget() == 7
-        monkeypatch.setattr(shm, "_spin_budget_cache", None)
-        monkeypatch.setenv("REPRO_SHM_SPIN", "not-a-number")
-        assert shm._spin_budget() == shm._SPIN_DEFAULT
-        monkeypatch.setattr(shm, "_spin_budget_cache", None)
-        monkeypatch.setenv("REPRO_SHM_SPIN", "0")
-        assert shm._spin_budget() == 0
-        monkeypatch.setattr(shm, "_spin_budget_cache", None)
-        monkeypatch.delenv("REPRO_SHM_SPIN")
-        assert shm._spin_budget() == shm._SPIN_DEFAULT
-        monkeypatch.setattr(shm, "_spin_budget_cache", None)
-
-    @pytest.mark.parametrize("spin", ["0", "100000"])
+    @pytest.mark.parametrize("spin", [0, 100000])
     def test_abort_noticed_during_empty_get(self, monkeypatch, spin):
         # Abort-responsiveness regression: poll() must run in both the
         # spin phase and the sliced-wait phase, so an abort raised
@@ -139,8 +122,7 @@ class TestShmRing:
 
         from repro.simmpi import shm
 
-        monkeypatch.setattr(shm, "_spin_budget_cache", None)
-        monkeypatch.setenv("REPRO_SHM_SPIN", spin)
+        monkeypatch.setattr(shm, "_SPIN", spin)
         ctx = mp.get_context()
         ring = ShmRing(16 * 1024, ctx=ctx)
         flag = {"aborted": False}
@@ -162,7 +144,6 @@ class TestShmRing:
             # Noticed within a couple of poll slices, not the timeout.
             assert elapsed < 5.0
         finally:
-            monkeypatch.setattr(shm, "_spin_budget_cache", None)
             ring.close(unlink=True)
 
 

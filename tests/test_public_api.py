@@ -3,18 +3,28 @@
 Nothing else runs ``examples/``, so deleting or renaming a public name
 could break an example silently.  These checks only parse and import —
 no example is executed — so they stay cheap enough for tier 1.
+
+Two guards keep the surface from growing unseen: ``InfomapConfig``'s
+field names are pinned, so a new knob needs a visible edit here, and
+no function, method or class under ``src/repro`` may be named nowhere
+but in its own definition.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core import InfomapConfig
 
-EXAMPLES = sorted((Path(__file__).parents[1] / "examples").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 MODULES = sorted(
     m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")
     if not m.name.endswith("__main__")
@@ -56,3 +66,36 @@ def test_all_names_exist(module):
     mod = importlib.import_module(module)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def test_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(InfomapConfig)] == [
+        "threshold", "max_levels", "seed", "shuffle",
+        "d_high", "rebalance", "dynamic_rebalance", "rebalance_threshold",
+        "rebalance_interval", "min_label", "full_module_info", "move_rule",
+        "delta_swap", "delegate_consensus", "prune_inactive",
+        "round_threshold_rel", "max_rounds", "batch_size", "overlap",
+        "backend", "warm_dirty_hops",
+        "tracer", "live",
+    ]
+
+
+def test_no_definition_goes_unreferenced():
+    words: Counter[str] = Counter()
+    for top in ("src", "tests", "benchmarks", "perfbench", "examples",
+                "scripts"):
+        for path in (ROOT / top).rglob("*"):
+            if path.suffix in (".py", ".sh"):
+                words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    lonely = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue  # protocol methods are called implicitly
+            if words[name] == 1:
+                lonely.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not lonely, f"defined but never referenced: {lonely}"

@@ -22,6 +22,7 @@ from repro.core.swap import LocalModuleState
 from repro.core.timing import PHASE_REBALANCE, PhaseTimer
 from repro.graph import planted_partition, powerlaw_planted_partition
 from repro.partition import delegate_partition, local_views_delegate
+from repro.partition import rebalance
 from repro.partition.rebalance import maybe_rebalance
 from repro.simmpi import run_spmd
 
@@ -37,10 +38,7 @@ def _rebalance_prog(comm):
     lg = local_views_delegate(net, dp)[comm.rank]
     state = LocalModuleState(lg)
     timer = PhaseTimer(comm)
-    cfg = InfomapConfig(
-        dynamic_rebalance=True, rebalance_threshold=1.0,
-        rebalance_max_vertices=64,
-    )
+    cfg = InfomapConfig(dynamic_rebalance=True, rebalance_threshold=1.0)
     before_entries = lg.num_entries
     before_mods = {
         int(g): int(m)
@@ -78,7 +76,8 @@ def _rebalance_prog(comm):
     }
 
 
-def test_forced_migration_invariants():
+def test_forced_migration_invariants(monkeypatch):
+    monkeypatch.setattr(rebalance, "MAX_VERTICES", 64)
     p = 4
     res = run_spmd(_rebalance_prog, p)
     outs = res.results
@@ -240,8 +239,6 @@ def test_config_validation():
         InfomapConfig(rebalance_threshold=0.5)
     with pytest.raises(ValueError):
         InfomapConfig(rebalance_interval=0)
-    with pytest.raises(ValueError):
-        InfomapConfig(rebalance_max_vertices=0)
 
 
 # ---------------------------------------------------------------------------
