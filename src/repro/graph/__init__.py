@@ -36,6 +36,7 @@ from .delta import (
 from .components import (
     component_sizes,
     connected_components,
+    count_disconnected_modules,
     largest_component,
     num_connected_components,
 )
@@ -122,6 +123,7 @@ __all__ = [
     "complete_graph",
     "component_sizes",
     "connected_components",
+    "count_disconnected_modules",
     "cycle_graph",
     "dataset_names",
     "degree_histogram",

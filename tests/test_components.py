@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.graph import (
     component_sizes,
     connected_components,
+    count_disconnected_modules,
     erdos_renyi,
     from_edges,
     largest_component,
@@ -76,3 +77,27 @@ def test_property_components_partition_vertices(seed, p):
     if g.num_edges:
         sub, orig = largest_component(g)
         assert sub.num_vertices == component_sizes(g)[0]
+
+
+class TestDisconnectedModules:
+    def test_connected_modules_count_zero(self):
+        lg = ring_of_cliques(4, 4)
+        assert count_disconnected_modules(lg.graph, lg.labels) == 0
+
+    def test_module_split_by_a_cut(self):
+        # {0,1} and {3,4} share module 0 but no intra-module edge;
+        # module 1 = {2} is a singleton, module 2 = {5,6} is connected.
+        g = from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)],
+                       num_vertices=7)
+        memb = np.array([0, 0, 1, 0, 0, 2, 2])
+        assert count_disconnected_modules(g, memb) == 1
+
+    def test_isolated_members_count(self):
+        g = from_edges([(0, 1)], num_vertices=4)
+        assert count_disconnected_modules(g, np.array([0, 0, 1, 1])) == 1
+        assert count_disconnected_modules(g, np.array([0, 0, 1, 2])) == 0
+
+    def test_shape_checked(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            count_disconnected_modules(g, np.zeros(2, dtype=np.int64))
