@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -498,7 +497,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 title="convergence by (level, round)",
                 columns=[
                     "level", "round", "codelength", "moves",
-                    "boundary_bytes", "frontier",
+                    "boundary_bytes", "frontier", "swap_backs",
                 ],
             )
         )
