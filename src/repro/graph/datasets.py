@@ -25,7 +25,6 @@ original size, and the generator parameters used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 

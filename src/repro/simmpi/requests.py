@@ -48,7 +48,7 @@ therefore never perturb a deterministic trajectory.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "Request",

@@ -5,8 +5,6 @@ harness machinery itself plus the drivers that complete in well under a
 second, so `pytest tests/` exercises the full module surface.
 """
 
-import pytest
-
 from repro.bench import (
     ablation_d_high,
     ablation_rebalance,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.graph import (
-    DATASET_SPECS,
     LARGE_DATASETS,
     SMALL_DATASETS,
     coarsen,

@@ -33,7 +33,6 @@ from repro.obs.live import (
     SLOTS_PER_RANK,
     STATUS_DONE,
     STATUS_FAILED,
-    STATUS_RUNNING,
     LivePlane,
     LiveSnapshot,
     gc_stale_runs,

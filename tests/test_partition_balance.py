@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph import planted_partition
 from repro.partition import compare_partitions
-from repro.partition.balance import BalanceStats, balance_stats
+from repro.partition.balance import balance_stats
 
 
 def test_balance_stats_basic():

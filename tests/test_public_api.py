@@ -7,7 +7,8 @@ no example is executed — so they stay cheap enough for tier 1.
 Two guards keep the surface from growing unseen: ``InfomapConfig``'s
 field names are pinned, so a new knob needs a visible edit here, and
 no function, method or class under ``src/repro`` may be named nowhere
-but in its own definition.
+but in its own definition.  A third stands in for a linter: no module
+imports a name it never uses.
 """
 
 import ast
@@ -99,3 +100,67 @@ def test_no_definition_goes_unreferenced():
             if words[name] == 1:
                 lonely.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not lonely, f"defined but never referenced: {lonely}"
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside the quoted parts of an annotation."""
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                tree = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return names
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names *path* imports but never uses.
+
+    A use is a name in the code, in a quoted annotation or in
+    ``__all__``; every import of a package ``__init__.py`` is a
+    re-export.
+    """
+    if path.name == "__init__.py":
+        return []
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in imported.items() if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    unused = [
+        hit
+        for top in ("src", "tests", "benchmarks", "examples", "scripts")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for hit in _unused_imports(path)
+    ]
+    assert not unused, f"imported but never used: {unused}"

@@ -2,8 +2,6 @@
 
 import time
 
-import pytest
-
 from repro.simmpi import Request, SerialCommunicator, run_spmd
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import FlowNetwork, ModuleInfo, ModuleStats
 from repro.core.swap import LocalModuleState
-from repro.graph import powerlaw_planted_partition, ring_of_cliques
+from repro.graph import ring_of_cliques
 from repro.partition import delegate_partition, local_views_delegate
 
 
