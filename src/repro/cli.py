@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="threads")
     pu.add_argument("--seed", type=int, default=0)
     pu.add_argument("--dirty-hops", type=int, default=None,
-                    help="re-seed radius around delta endpoints "
+                    help="first-sweep radius around delta endpoints "
                          "(default: config's warm_dirty_hops)")
     pu.add_argument("--output", "-o",
                     help="write the updated 'vertex<TAB>module' here")
@@ -527,8 +527,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 title="incremental delta batches",
                 columns=[
                     "batch", "insert", "delete", "reweight",
-                    "dirty_vertices", "dirty_fraction", "codelength",
-                    "solve_seconds",
+                    "dirty_vertices", "dirty_fraction", "split_modules",
+                    "codelength", "solve_seconds",
                 ],
             )
         )
@@ -717,6 +717,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         f"delta: +{c['insert']} -{c['delete']} ~{c['reweight']} edges, "
         f"dirty region {event['dirty_vertices']} vertices "
         f"({event['dirty_fraction']:.1%}), "
+        f"{event['split_modules']} cut modules split, "
         f"L {cached_len:.6f} -> {result.codelength:.6f} bits"
     )
 

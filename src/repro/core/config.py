@@ -131,10 +131,11 @@ class InfomapConfig:
             Seconds truly blocked vs hidden are metered separately as
             ``comm_wait_seconds`` / ``comm_overlap_seconds``.
         warm_dirty_hops: incremental warm starts
-            (:mod:`repro.core.incremental`) re-seed every vertex within
-            this many hops of a delta's endpoints as a singleton and
-            initialize the active sweep set to that dirty frontier.
-            1 hop (default) covers every vertex whose map-equation
+            (:mod:`repro.core.incremental`) keep every vertex in its
+            cached module and initialize the active sweep set to the
+            vertices within this many hops of a delta's endpoints (plus
+            the members of any module a delete cut in two).  1 hop
+            (default) covers every vertex whose map-equation
             neighbourhood term a delta can change; raise it to widen
             the re-optimized region (more work, potentially better
             quality on aggressive deltas).

@@ -407,9 +407,12 @@ def sequential_infomap(
     ``seed_membership`` — an ``int64[n]`` membership in the vertex-id
     module space — and optionally ``active``, a ``bool[n]`` dirty
     frontier; both apply to level 0 only (coarse levels always run the
-    normal full sweep on their much smaller graphs).  ``work``
-    accumulates per-sweep visit counters (see :func:`cluster_level`).
-    Omitting all three leaves the cold path byte-identical to before.
+    normal full sweep on their much smaller graphs).  A seeded level 0
+    ends the solve only when nothing was active; otherwise the coarse
+    levels run whatever level 0 committed, since the delta changed
+    their edge weights.  ``work`` accumulates per-sweep visit counters
+    (see :func:`cluster_level`).  Omitting all three leaves the cold
+    path byte-identical to before.
     """
     cfg = config or InfomapConfig()
     tr = tracer if tracer is not None else cfg.tracer
@@ -429,6 +432,10 @@ def sequential_infomap(
 
     node_term0 = -float(plogp(network.node_flow).sum())
     final_codelength = 0.0
+    # Read before level 0 contracts the active set in place.
+    hand_over = seed_membership is not None and (
+        active is None or bool(active.any())
+    )
 
     for level in range(cfg.max_levels):
         n = network.graph.num_vertices
@@ -488,7 +495,8 @@ def sequential_infomap(
         if lv.enabled:
             lv.update(codelength=float(l_after))
 
-        if moves == 0 or l_before - l_after < cfg.threshold:
+        settled = moves == 0 or l_before - l_after < cfg.threshold
+        if settled and not (level == 0 and hand_over):
             converged = True
             break
         if coarse_network.graph.num_vertices == n:

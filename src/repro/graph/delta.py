@@ -25,7 +25,7 @@ exact bytes.  A hypothesis property test pins this down.
 
 :func:`dirty_region` computes the h-hop neighbourhood of a delta's
 endpoints on the *patched* graph — the dirty frontier the warm-start
-solvers re-seed as singletons (see :mod:`repro.core.incremental`).
+solvers sweep first (see :mod:`repro.core.incremental`).
 """
 
 from __future__ import annotations

@@ -145,6 +145,7 @@ def delta_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
                 "reweight": args.get("reweight"),
                 "dirty_vertices": args.get("dirty_vertices"),
                 "dirty_fraction": args.get("dirty_fraction"),
+                "split_modules": args.get("split_modules"),
                 "codelength": args.get("codelength"),
                 "solve_seconds": args.get("solve_seconds"),
             }

@@ -337,3 +337,20 @@ class TestLiveStatus:
                    str(part), "--delta", str(delta), "--live"])
         assert rc == 0
         assert "live run id:" in capsys.readouterr().out
+
+    def test_update_reports_split_modules(self, tmp_path, capsys):
+        # Deleting every edge between {0,1} and {2,3,4} cuts clique 0.
+        path = tmp_path / "g.txt"
+        write_edgelist(ring_of_cliques(4, 5).graph, path)
+        part = tmp_path / "part.tsv"
+        assert main(["cluster", "--input", str(path), "-o",
+                     str(part)]) == 0
+        delta = tmp_path / "d.delta"
+        delta.write_text(
+            "".join(f"- {u} {v}\n" for u in (0, 1) for v in (2, 3, 4))
+        )
+        capsys.readouterr()
+        rc = main(["update", "--input", str(path), "--partition",
+                   str(part), "--delta", str(delta)])
+        assert rc == 0
+        assert "1 cut modules split" in capsys.readouterr().out

@@ -24,6 +24,12 @@ with; under another version the test fails and asks for a deliberate
 re-record instead of reporting a spurious mismatch::
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Before a deliberate re-record, list what it would change: ``--diff``
+prints each entry whose digests differ from the files (and which
+digests), and writes nothing::
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
 from __future__ import annotations
@@ -242,10 +248,33 @@ def test_distributed_golden(golden_dist, name):
     assert dist_digests(DIST_CASES[name]()) == golden_dist[name]
 
 
+TABLES = ((GOLDEN, record), (GOLDEN_DIST, record_distributed))
+
+
+def diff() -> list[str]:
+    """One line per entry whose fresh digests differ from the files."""
+    lines = []
+    for path, table in TABLES:
+        stored = json.loads(path.read_text())["entries"]
+        fresh = table()["entries"]
+        for name in sorted(stored.keys() | fresh.keys()):
+            old, new = stored.get(name, {}), fresh.get(name, {})
+            changed = sorted(
+                k for k in old.keys() | new.keys() if old.get(k) != new.get(k)
+            )
+            if changed:
+                lines.append(f"{path.name} {name}: {', '.join(changed)}")
+    return lines
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    for path, table in ((GOLDEN, record), (GOLDEN_DIST, record_distributed)):
-        path.write_text(json.dumps(table(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+    if sys.argv[1:] == ["--diff"]:
+        print("\n".join(diff()) or "no golden digest differs")
+    elif sys.argv[1:] == ["--record"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        for path, table in TABLES:
+            text = json.dumps(table(), indent=2, sort_keys=True) + "\n"
+            path.write_text(text)
+            print(f"wrote {path}")
+    else:
+        sys.exit("usage: python tests/test_golden.py --record | --diff")
