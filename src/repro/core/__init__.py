@@ -15,8 +15,6 @@ from .kernels import (
     aggregate_module_flows,
     drift_guard_bound,
     score_block,
-    score_block_stats,
-    score_block_table,
 )
 from .mapequation import (
     ModuleStats,
@@ -85,8 +83,6 @@ __all__ = [
     "neighbor_module_flows",
     "plogp",
     "score_block",
-    "score_block_stats",
-    "score_block_table",
     "score_vertex",
     "sequential_infomap",
     "warm_seed_membership",

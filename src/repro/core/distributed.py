@@ -34,7 +34,6 @@ time for the scalability figures.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -59,12 +58,15 @@ from .config import InfomapConfig
 from .flow import FlowNetwork
 from .kernels import (
     CERT_SLACK,
+    aggregate_block_flows,
     aggregate_module_flows,
-    drift_guard_bound,
-    score_block_table,
+    candidate_deltas,
+    leave_term,
+    score_block,
+    sweep,
 )
 from .mapequation import plogp
-from .moves import MIN_IMPROVEMENT
+from .moves import MIN_IMPROVEMENT, MoveProposal
 from .result import ClusteringResult, LevelRecord
 from .swap import Contribution, LocalModuleState
 from .timing import (
@@ -99,16 +101,20 @@ MIN_VERTICES_PER_RANK = 32
 # Move evaluation against the swap-maintained table
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class _Decision:
-    local_idx: int
-    current: int
-    target: int
-    delta: float
-    p_u: float
-    x_u: float
-    d_old: float
-    d_new: float
+def _near_tie(
+    deltas: "list[float]", best: float, k: int, e: float = 0.0
+) -> "int | None":
+    """The min-label re-break: the index of the first candidate
+    (ascending module ids) whose ΔL is within :data:`TIE_EPS` of
+    *best*, candidate *k*'s — exactly at ``e = 0``; on estimates within
+    *e* of exact, certified to ``±2e`` or ``None``."""
+    thresh = best + TIE_EPS
+    for j, d in enumerate(deltas):
+        if d <= thresh + 2.0 * e:
+            break
+    if j == k or deltas[j] <= thresh - 2.0 * e:
+        return j
+    return None
 
 
 def _score_candidates(
@@ -123,7 +129,7 @@ def _score_candidates(
     p_u: float,
     x_u: float,
     d_old: "float | None" = None,
-) -> "_Decision | None":
+) -> "MoveProposal | None":
     """Score the candidate modules in ``(mods, flows)`` and pick a move.
 
     ``mods`` must be the sorted unique module ids (a list) with
@@ -145,18 +151,20 @@ def _score_candidates(
     # target is a boundary community; one direction proceeds, the swap
     # cannot.  All other moves stay unrestricted so mass is not
     # ratcheted into small-id modules.
-    q_old, p_old, n_old, pl_q_old, pl_b_old = records[current]
-    guard = bool(cfg.min_label and boundary_mods) and n_old == 1
+    rec_old = records[current]
+    guard = bool(cfg.min_label and boundary_mods) and rec_old[2] == 1
     cand: list[int] = []
     cand_flow: list[float] = []
+    recs: list[tuple[float, float, int, float, float]] = []
     for m, f in zip(mods, flows):
-        if m == current or (
-            guard and m > current and m in boundary_mods
-            and records[m][2] == 1
-        ):
+        if m == current:
+            continue
+        rec = records[m]
+        if guard and m > current and m in boundary_mods and rec[2] == 1:
             continue
         cand.append(m)
         cand_flow.append(f)
+        recs.append(rec)
     if not cand:
         return None
 
@@ -172,98 +180,39 @@ def _score_candidates(
         best_idx = next(
             i for i, f in enumerate(cand_flow) if f >= best_flow - 1e-15
         )
-        return _Decision(
-            local_idx=li, current=current, target=cand[best_idx],
+        return MoveProposal(
+            vertex=li, current=current, target=cand[best_idx],
             delta=0.0, p_u=p_u, x_u=x_u, d_old=d_old,
             d_new=cand_flow[best_idx],
         )
 
-    # math.log2, not np.log2: these deltas must reproduce the pinned
-    # golden digests bit for bit, and the two differ in the last bit on
-    # a small fraction of inputs on AVX-512 hosts.  Every plogp term is
-    # inlined as ``x * log2(x) if x > 1e-300 else 0.0`` (0·log0 = 0,
-    # negative dust clamped); the candidate-invariant terms are hoisted
-    # and the two module-only terms, ``plogp(q)`` and ``plogp(q + p)``,
-    # come from the table's cached record, without changing any
-    # operation's operands or order.
-    log2 = math.log2
-    sum_exit = state.sum_exit_global
-    q_old_after = q_old - x_u + 2.0 * d_old
-    a_old = q_old_after + (p_old - p_u)
-    base_old = (
-        -2.0 * (
-            (q_old_after * log2(q_old_after) if q_old_after > 1e-300
-             else 0.0)
-            - pl_q_old
-        )
-        + (a_old * log2(a_old) if a_old > 1e-300 else 0.0)
-        - pl_b_old
+    # ``kernels``' math.log2 form, not np.log2: these deltas must
+    # reproduce the pinned golden digests bit for bit, and the two
+    # differ in the last bit on a small fraction of inputs on AVX-512
+    # hosts.  The module-only terms, ``plogp(q)`` and ``plogp(q + p)``,
+    # come from the table's cached records.
+    deltas = candidate_deltas(
+        state.sum_exit_global, rec_old[0],
+        leave_term(rec_old, p_u=p_u, x_u=x_u, d_old=d_old),
+        recs, cand_flow, p_u=p_u, x_u=x_u, d_old=d_old,
     )
-    pl_sum_exit = sum_exit * log2(sum_exit) if sum_exit > 1e-300 else 0.0
-    se_base = sum_exit + (q_old_after - q_old)
-
-    deltas: list[float] = []
-    for m, d_new in zip(cand, cand_flow):
-        q_new, p_new, _n, pl_q, pl_b = records[m]
-        q_new_after = q_new + x_u - 2.0 * d_new
-        se = se_base + (q_new_after - q_new)
-        a = q_new_after + p_new + p_u
-        deltas.append(
-            (se * log2(se) if se > 1e-300 else 0.0) - pl_sum_exit
-            + base_old
-            - 2.0 * (
-                (q_new_after * log2(q_new_after) if q_new_after > 1e-300
-                 else 0.0)
-                - pl_q
-            )
-            + (a * log2(a) if a > 1e-300 else 0.0)
-            - pl_b
-        )
 
     best_idx = min(range(len(deltas)), key=deltas.__getitem__)
     best_delta = deltas[best_idx]
     if best_delta >= -MIN_IMPROVEMENT:
         return None
 
-    target = cand[best_idx]
-    if cfg.min_label and target in boundary_mods:
+    if cfg.min_label and cand[best_idx] in boundary_mods:
         # Near-ties also break toward the minimum label, so that two
         # ranks scoring the same vertex pick the same winner.
-        for i, dl in enumerate(deltas):  # cand ascends by module id
-            if dl <= best_delta + TIE_EPS:
-                best_idx = i
-                break
+        best_idx = _near_tie(deltas, best_delta, best_idx)
         best_delta = deltas[best_idx]
-        target = cand[best_idx]
+    target = cand[best_idx]
 
-    return _Decision(
-        local_idx=li, current=current, target=target, delta=best_delta,
+    return MoveProposal(
+        vertex=li, current=current, target=target, delta=best_delta,
         p_u=p_u, x_u=x_u, d_old=d_old, d_new=cand_flow[best_idx],
     )
-
-
-def _local_module_flows(
-    state: LocalModuleState, li: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Vertex *li*'s locally-stored link flow per neighbouring module.
-
-    Returns ``(sorted module ids, flows, x_u_local)``; self-loops are
-    excluded.  For owned low-degree vertices this is the vertex's full
-    adjacency (delegate placement guarantees it); for hub copies it is
-    the local subset.
-    """
-    lg = state.lg
-    nbrs, flows = lg.neighbors_of(li)
-    nonself = nbrs != li
-    if not nonself.all():
-        nbrs = nbrs[nonself]
-        flows = flows[nonself]
-    if nbrs.size == 0:
-        return np.empty(0, np.int64), np.empty(0), 0.0
-    # Shared with the sequential scalar path and (bitwise, see the
-    # contract on aggregate_module_flows) with the batch kernel's
-    # segment reduction — so the paths cannot drift apart again.
-    return aggregate_module_flows(state.module_of[nbrs], flows)
 
 
 # Below this many active vertices the per-round table-snapshot build
@@ -271,168 +220,89 @@ def _local_module_flows(
 _BATCH_MIN_ACTIVE = 32
 
 
-def _batched_local_sweep(level: "_Level", act: np.ndarray) -> int:
-    """Batched Find-Best-Module sweep over the active owned vertices.
-
-    Full batch scoring: each chunk is scored in one vectorized shot
-    against a fresh table snapshot (near-free with the array backend —
-    a live view of the :class:`ModuleTable` columns), with the
-    min-label candidate filter applied *inside* the kernel, and both
-    outcomes are batch-certified where the numbers allow it:
-
-    * certified stay — ``margin >= e`` where
-      ``e = drift_guard_bound(..) + CERT_SLACK``: the scalar evaluator
-      provably finds no improving move, skip outright;
-    * certified commit — ``margin <= -e`` and ``runner_gap >= 2e``:
-      the scalar argmin provably equals the batch argmin, commit it
-      directly (after certifying the min-label near-tie re-break on
-      the retained per-candidate deltas: the first admissible
-      candidate within :data:`TIE_EPS` of the best must be decidable
-      to ``±2e``, otherwise it is a gray zone).
-
-    Everything else — vertices whose current/candidate modules were
-    touched by an earlier commit in the *same chunk*, and gray-zone
-    margins/re-breaks — is re-scored exactly by
-    :func:`_score_candidates` against the live table, so the committed
-    decision sequence (and hence the table) is identical to the scalar
-    loop's, bitwise.  The re-score reads the chunk's cached segment
-    (``seg_mods``/``seg_flows``/``x_u``/``d_old``/``p_u``) when none of
-    the vertex's stored neighbours committed earlier in the chunk — the
-    segment then equals a fresh aggregation bitwise, by the
-    :func:`repro.core.kernels.aggregate_module_flows` contract; hub and
-    ghost memberships cannot change during a sweep — and re-aggregates
-    through :func:`_evaluate_move` otherwise.  The certified-commit
-    inequalities are sound because the batch/scalar delta disagreement
-    is strictly below ``CERT_SLACK`` (numpy-vs-math.log2 ulps) plus the
-    analytic drift bound.
-
-    Moves go through ``level.commit``; returns the edge-scan work.
+class _TableStore:
+    """A rank's module table as the batched ladder's module store
+    (protocol: :mod:`repro.core.kernels` docs) for one sub-sweep of
+    owned vertices.  Its exact scorer is :func:`_score_candidates`, and
+    ``commit`` is :meth:`_Level.commit`.  Hub and ghost memberships
+    cannot change during a sweep, so a segment stays live until an
+    owned neighbour commits.
     """
-    state = level.state
-    cfg = level.cfg
-    boundary_mods = level.bmods
-    lg = state.lg
-    indptr, nbr = lg.indptr, lg.nbr
-    mi = MIN_IMPROVEMENT
-    work = 0
-    bs = cfg.batch_size
-    use_minlabel = cfg.min_label and bool(boundary_mods)
-    bmods_arr = (
-        np.fromiter(
-            sorted(boundary_mods), dtype=np.int64, count=len(boundary_mods)
-        )
-        if use_minlabel else None
-    )
-    snap = None  # rebound per chunk; the closure below reads it
 
-    def minlabel_mask(agg):
-        # §3.4 as a vectorized mask (same rule as _score_candidates):
-        # a singleton vertex may not merge *upward* into a singleton
-        # boundary module.
-        sing_cur = snap.lookup_members(agg.current, default=1) == 1
-        seg_n = snap.lookup_members(agg.seg_mods, default=1)
-        removable = (
-            sing_cur[agg.seg_owner]
-            & (agg.seg_mods > agg.current[agg.seg_owner])
-            & (seg_n == 1)
-            & np.isin(agg.seg_mods, bmods_arr)
-        )
-        return ~removable
+    zero_slack = CERT_SLACK
 
-    for lo in range(0, act.size, bs):
-        chunk = act[lo : lo + bs]
-        work += int(np.sum(indptr[chunk + 1] - indptr[chunk]))
+    def __init__(
+        self, state: LocalModuleState, cfg: InfomapConfig,
+        bmods: "set[int]", id_space: int, commit,
+    ) -> None:
+        self.state = state
+        self.cfg = cfg
+        self.bmods = bmods
+        self.id_space = id_space
+        self.commit = commit
+        self.indptr = state.lg.indptr
+        self.indices = state.lg.nbr
+        # The table's own record cache, read with no Python frame.
+        self.record = state.table_records.__getitem__
+        self._bmods_arr = np.fromiter(
+            sorted(bmods), dtype=np.int64, count=len(bmods)
+        )
+        self._single: list[bool] = []
+
+    def score(self, block: np.ndarray):
+        state = self.state
+        lg = state.lg
         snap = state.table_arrays()
-        agg, score = score_block_table(
-            state, snap, chunk, id_space=level.id_space,
-            cand_mask_fn=minlabel_mask if use_minlabel else None,
+        agg = aggregate_block_flows(
+            lg.indptr, lg.nbr, lg.nbr_flow, block, state.module_of, lg.flow,
+            id_space=self.id_space,
         )
-        # The chunk was scored with the *live* exit sum, so the drift
-        # guard measures drift from this value; the snapshot is fresh,
-        # so only commits within this chunk can invalidate it.
-        s_chunk = state.sum_exit_global
-        margins = score.best_delta + mi
-        if bool((margins >= CERT_SLACK).all()):
-            continue  # whole chunk provably stays (zero drift yet)
-        # Modules whose aggregates a commit in this chunk changed, and
-        # the vertices committed in this chunk.
-        touched: set[int] = set()
-        movers: set[int] = set()
-        # Per-vertex reads below go through lists: numpy scalar access
-        # costs more than the decisions it feeds.
-        currents = agg.current.tolist()
-        margin_l = margins.tolist()
-        p_us = agg.p_u.tolist()
-        x_us = agg.x_u.tolist()
-        d_olds = agg.d_old.tolist()
-        seg_ptr = agg.seg_ptr.tolist()
-        seg_mods = agg.seg_mods.tolist()
-        seg_flows = agg.seg_flows.tolist()
-        targets = score.best_target.tolist()
-        d_news = score.best_d_new.tolist()
-        best_deltas = score.best_delta.tolist()
-        gaps = score.runner_gap.tolist()
-        for i, li in enumerate(chunk.tolist()):
-            cur = currents[i]
-            a = seg_ptr[i]
-            b = seg_ptr[i + 1]
-            dec = None
-            if not touched or (
-                cur not in touched and touched.isdisjoint(seg_mods[a:b])
-            ):
-                s_now = state.sum_exit_global
-                e = drift_guard_bound(
-                    s_now - s_chunk, x_us[i], s_chunk, s_now
-                ) + CERT_SLACK
-                margin = margin_l[i]
-                if margin >= e:
-                    continue  # certified stay
-                if margin <= -e and gaps[i] >= 2.0 * e:
-                    tgt = targets[i]
-                    d_new = d_news[i]
-                    certified = True
-                    if cfg.min_label and tgt in boundary_mods:
-                        # Certify the near-tie re-break: the scalar
-                        # path re-targets the first candidate within
-                        # TIE_EPS of its best, scanning ascending
-                        # module ids.
-                        ca = int(score.cand_ptr[i])
-                        cb = int(score.cand_ptr[i + 1])
-                        cd = score.cand_deltas[ca:cb]
-                        thresh = best_deltas[i] + TIE_EPS
-                        j = int(np.argmax(cd <= thresh + 2.0 * e))
-                        if int(score.cand_mods[ca + j]) == tgt:
-                            pass  # re-break lands on the argmin itself
-                        elif float(cd[j]) <= thresh - 2.0 * e:
-                            tgt = int(score.cand_mods[ca + j])
-                            d_new = float(score.cand_flows[ca + j])
-                        else:
-                            certified = False  # gray zone: re-score
-                    if certified:
-                        dec = _Decision(
-                            local_idx=li, current=cur, target=tgt,
-                            delta=best_deltas[i], p_u=p_us[i],
-                            x_u=x_us[i], d_old=d_olds[i], d_new=d_new,
-                        )
-            if dec is None:
-                if movers and not movers.isdisjoint(
-                    nbr[indptr[li] : indptr[li + 1]].tolist()
-                ):
-                    dec = _evaluate_move(state, li, cfg, boundary_mods)
-                else:
-                    dec = _score_candidates(
-                        state, cfg, boundary_mods, li=li, current=cur,
-                        mods=seg_mods[a:b], flows=seg_flows[a:b],
-                        p_u=p_us[i], x_u=x_us[i], d_old=d_olds[i],
-                    )
-                if dec is None:
-                    continue
-            if not level.commit(dec):
-                continue  # a refused swap-back changes nothing
-            touched.add(dec.current)
-            touched.add(dec.target)
-            movers.add(li)
-    return work
+        q_seg, p_seg = snap.lookup(agg.seg_mods)
+        q_old, p_old = snap.lookup(agg.current)
+        mask = None
+        if self.bmods:
+            # §3.4 as a vectorized mask (same rule as _score_candidates):
+            # a singleton vertex may not merge *upward* into a singleton
+            # boundary module.
+            single = snap.lookup_members(agg.current) == 1
+            self._single = single.tolist()
+            own = agg.seg_owner
+            mask = ~(
+                single[own]
+                & (agg.seg_mods > agg.current[own])
+                & (snap.lookup_members(agg.seg_mods) == 1)
+                & np.isin(agg.seg_mods, self._bmods_arr)
+            )
+        return agg, score_block(
+            agg, q_seg=q_seg, p_seg=p_seg, q_old=q_old, p_old=p_old,
+            sum_exit=state.sum_exit_global, cand_mask=mask,
+        )
+
+    def sum_exit(self) -> float:
+        return self.state.sum_exit_global
+
+    def exact(self, u: int, cur: int, walk=None, i: int = 0):
+        if walk is None:
+            dec = _evaluate_move(self.state, u, self.cfg, self.bmods)
+        else:
+            mods, flows, p_u, x_u, d_old = walk.segment(i, True)
+            dec = _score_candidates(
+                self.state, self.cfg, self.bmods, li=u, current=cur,
+                mods=mods, flows=flows, p_u=p_u, x_u=x_u, d_old=d_old,
+            )
+        if dec is None:
+            return None
+        return dec.target, dec.p_u, dec.x_u, dec.d_old, dec.d_new
+
+    def pinned(self, i: int, cur: int) -> bool:
+        """Whether block vertex *i*'s current module was a singleton
+        when the block was scored or is one now.  The min-label guard
+        keys on that count alone: otherwise the snapshot mask and the
+        live scorer both admit every candidate, whatever the touched
+        candidates' counts."""
+        return self._single[i] or self.record(cur)[2] == 1
+
+    rebreak = staticmethod(_near_tie)
 
 
 def _evaluate_move(
@@ -440,21 +310,27 @@ def _evaluate_move(
     li: int,
     cfg: InfomapConfig,
     boundary_mods: "set[int]",
-) -> "_Decision | None":
+) -> "MoveProposal | None":
     """Best strictly-improving move for local vertex *li*, or None.
 
     Mirrors the sequential kernel but reads module aggregates from the
     rank's table (own contribution + swapped neighbour contributions)
     and applies the anti-bouncing rules to boundary targets.
     """
-    uniq, agg, x_u = _local_module_flows(state, li)
+    lg = state.lg
+    # The vertex's locally stored adjacency: for owned low-degree
+    # vertices the full one (delegate placement guarantees it), for hub
+    # copies the local subset.
+    uniq, agg, x_u = aggregate_module_flows(
+        *lg.neighbors_of(li), li, state.module_of
+    )
     if uniq.size == 0:
         return None
     return _score_candidates(
         state, cfg, boundary_mods,
         li=li, current=int(state.module_of[li]),
         mods=uniq.tolist(), flows=agg.tolist(),
-        p_u=float(state.lg.flow[li]), x_u=x_u,
+        p_u=float(lg.flow[li]), x_u=x_u,
     )
 
 
@@ -648,6 +524,7 @@ class _Level:
     frontier: int = field(init=False)
     local_moves: int = field(init=False)
     swap_backs: int = field(init=False)
+    exact_rescores: int = field(init=False)
     sweep_work: int = field(init=False)
     swap_bytes0: int = field(init=False)
 
@@ -736,11 +613,16 @@ class _Level:
         self.moved_hub_modules = set()
         self.local_moves = 0
         self.swap_backs = 0
+        self.exact_rescores = 0
         self.sweep_work = 0
         self.left_prev, self.left_now = self.left_now, {}
 
-    def commit(self, dec: _Decision) -> bool:
-        """Apply one owned-vertex move and note it for this round.
+    def commit(
+        self, li: int, cur: int, tgt: int,
+        p_u: float, x_u: float, d_old: float, d_new: float,
+    ) -> bool:
+        """Move owned vertex *li* from *cur* to *tgt*; note it for this
+        round.
 
         Returns False, leaving the vertex where it is, for a swap-back:
         a move into the module the vertex left in the previous round.
@@ -750,32 +632,40 @@ class _Level:
         §3.4, which the min-label rule stops only between singleton
         modules.  GossipMap's ``max_flow`` rule keeps its bouncing.
         """
-        li = dec.local_idx
-        if self.no_swap_back and self.left_prev.get(li) == dec.target:
+        if self.no_swap_back and self.left_prev.get(li) == tgt:
             self.swap_backs += 1
             return False
         self.state.apply_local_move(
-            li, dec.target,
-            p_u=dec.p_u, x_u=dec.x_u, d_old=dec.d_old, d_new=dec.d_new,
+            li, tgt, p_u=p_u, x_u=x_u, d_old=d_old, d_new=d_new
         )
-        self.left_now[li] = dec.current
+        self.left_now[li] = cur
         self.local_moves += 1
         self.moved_local.append(li)
-        self.changed_mods.add(dec.current)
-        self.changed_mods.add(dec.target)
+        self.changed_mods.add(cur)
+        self.changed_mods.add(tgt)
         return True
 
     def _sweep(self, sub: np.ndarray) -> None:
-        """Score and commit one sub-sweep of owned vertices."""
-        if self.batched and sub.size >= _BATCH_MIN_ACTIVE:
-            self.sweep_work += _batched_local_sweep(self, sub)
-            return
+        """Score and commit one sub-sweep of owned vertices: down the
+        batched ladder (:class:`_TableStore`), or one
+        :func:`_evaluate_move` per vertex.  Counts the edge-scan work
+        and the exact-scorer calls."""
         indptr = self.lg.indptr
+        self.sweep_work += int(np.sum(indptr[sub + 1] - indptr[sub]))
+        if self.batched and sub.size >= _BATCH_MIN_ACTIVE:
+            store = _TableStore(
+                self.state, self.cfg, self.bmods, self.id_space, self.commit
+            )
+            self.exact_rescores += sweep(store, sub, self.cfg.batch_size)[1]
+            return
+        self.exact_rescores += int(sub.size)
         for li in sub.tolist():
-            self.sweep_work += int(indptr[li + 1] - indptr[li])
             dec = _evaluate_move(self.state, li, self.cfg, self.bmods)
             if dec is not None:
-                self.commit(dec)
+                self.commit(
+                    li, dec.current, dec.target,
+                    dec.p_u, dec.x_u, dec.d_old, dec.d_new,
+                )
 
     def find_best_boundary(self) -> np.ndarray:
         """Stage 1: sweep the active owned vertices some peer ghosts.
@@ -1160,8 +1050,8 @@ class _Level:
         if buf.enabled:
             # One convergence sample per rank per round.  codelength and
             # moves are globally consistent, so any rank's series is
-            # *the* series; boundary_bytes, frontier and swap_backs are
-            # per-rank and summed at export time.
+            # *the* series; boundary_bytes, frontier, swap_backs and
+            # exact_rescores are per-rank and summed at export time.
             swap_bytes = (
                 comm.stats.bytes_by_phase.get(PHASE_SWAP_BOUNDARY, 0)
                 - self.swap_bytes0
@@ -1174,6 +1064,7 @@ class _Level:
                     "boundary_bytes": int(swap_bytes),
                     "frontier": self.frontier,
                     "swap_backs": self.swap_backs,
+                    "exact_rescores": self.exact_rescores,
                 },
             )
             buf.counter("codelength", codelength)

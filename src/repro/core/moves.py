@@ -3,12 +3,13 @@
 Given a vertex, its current membership and the module aggregates,
 evaluate the codelength change of moving it into each neighbouring
 module and return the best strictly-improving move (Algorithm 1 lines
-16–22).  :func:`score_vertex` is the one exact scorer: the scalar
-sweep reaches it through :func:`best_move`, the batched sweep calls it
-directly for every decision its drift guard cannot certify.  The
-distributed ranks' local clustering (Algorithm 2 line 3) has its own
-scorer in ``core/distributed.py``, which adds the min-label
-anti-bouncing rule for *boundary* modules.
+16–22).  :func:`score_vertex` is the sequential exact scorer: the
+scalar sweep reaches it through :func:`best_move`, and the batched
+sweep (:func:`repro.core.kernels.sweep`) calls both for every decision
+it cannot certify.  The distributed ranks (Algorithm 2 line 3) sweep
+through the same ladder over their module tables, with the exact
+scorer ``_score_candidates`` in ``core/distributed.py``, which adds the
+min-label anti-bouncing rule for *boundary* modules.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowNetwork
-from .kernels import aggregate_module_flows
+from .kernels import MIN_IMPROVEMENT, aggregate_module_flows
 from .mapequation import ModuleStats
 
 __all__ = [
@@ -30,14 +31,11 @@ __all__ = [
     "best_move",
 ]
 
-#: A move must achieve ``δL < -MIN_IMPROVEMENT`` to count: the paper's
-#: strict ``δL < 0`` with a float-noise guard.  Both solvers read it.
-MIN_IMPROVEMENT = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MoveProposal:
-    """The outcome of evaluating one vertex's candidate moves.
+    """The outcome of evaluating one vertex's candidate moves, in either
+    solver (``vertex`` is a rank-local index in the distributed one).
 
     ``target == current`` means "stay" (no strictly improving move).
     ``delta`` is the exact codelength change of adopting ``target``.
@@ -69,16 +67,9 @@ def neighbor_module_flows(
     flow.  Self-loops are excluded (they never exit).
     """
     g = network.graph
-    nbrs = g.neighbors(u)
-    wts = g.neighbor_weights(u)
-    nonself = nbrs != u
-    if not nonself.all():
-        nbrs = nbrs[nonself]
-        wts = wts[nonself]
-    # Shared with the distributed scalar path and (by the bitwise
-    # contract documented on aggregate_module_flows) with the batch
-    # kernel's segment reduction, so the paths cannot drift apart.
-    return aggregate_module_flows(membership[nbrs], wts)
+    return aggregate_module_flows(
+        g.neighbors(u), g.neighbor_weights(u), u, membership
+    )
 
 
 def score_vertex(

@@ -15,7 +15,6 @@ the pseudocode with no shortcuts.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -25,14 +24,7 @@ from ..obs.live import NULL_LIVE
 from ..obs.trace import NULL_BUFFER
 from .config import InfomapConfig
 from .flow import FlowNetwork
-from .kernels import (
-    CERT_SLACK,
-    BlockLists,
-    drift_guard_bound,
-    leave_term,
-    rescore_candidate,
-    score_block_stats,
-)
+from .kernels import aggregate_block_flows, module_record, score_block, sweep
 from .mapequation import ModuleStats
 from .moves import MIN_IMPROVEMENT, best_move, score_vertex
 from .result import ClusteringResult, LevelRecord
@@ -68,70 +60,73 @@ def _sweep_scalar(
     return moved, int(order.size)
 
 
-def _certify_touched(
-    blk: BlockLists,
-    i: int,
-    cur: int,
-    stats: ModuleStats,
-    touched: "set[int]",
-    s0: float,
-    mi: float,
-) -> "tuple[int, float] | None":
-    """Decide block vertex *i* after a commit touched one of its modules.
-
-    Valid while no neighbour of the vertex has moved since the block
-    was scored, so its segment is live.  A touched current module
-    shifts every candidate's batch delta by :meth:`BlockLists.shift`; a
-    touched candidate is recomputed on the live stats
-    (:func:`rescore_candidate`).  Each estimate is within
-    ``e = drift_guard_bound(..) + CERT_SLACK`` of the exact live delta
-    (kernels module docs), so the returned ``(target, d_new)`` is what
-    :func:`score_vertex` decides — ``target == cur`` is a certified
-    stay — or ``None`` in the gray zone.
+class _StatsStore:
+    """:class:`ModuleStats` as the batched ladder's module store
+    (protocol: :mod:`repro.core.kernels` docs), with no min-label rule.
     """
-    d_old = blk.d_old[i]
-    if blk.delta[i] == math.inf:
-        return cur, d_old  # no candidate, live or snapshot
-    p_u = blk.p_u[i]
-    x_u = blk.x_u[i]
-    s_now = float(stats.sum_exit)
-    e = drift_guard_bound(s_now - s0, x_u, s0, s_now) + CERT_SLACK
-    q_cur = stats.exit.item(cur)
-    p_cur = stats.sum_p.item(cur)
-    shift = blk.shift(i, q_cur, p_cur) if cur in touched else 0.0
-    hit = touched.intersection(blk.seg_mods[blk.seg_ptr[i]:blk.seg_ptr[i + 1]])
-    hit.discard(cur)
-    if not hit:
-        # Argmin and runner_gap (input-identical ties included) stand.
-        margin = blk.delta[i] + shift + mi
-        tgt, d_new, gap = blk.target[i], blk.d_new[i], blk.gap[i]
-    else:
-        cand_ptr, cand_mods, cand_deltas, cand_flows = blk.candidates()
-        ca = cand_ptr[i]
-        cb = cand_ptr[i + 1]
-        mods = cand_mods[ca:cb]
-        est = cand_deltas[ca:cb]
-        if shift:
-            est = [d + shift for d in est]
-        b_old = leave_term(q_cur, p_cur, p_u=p_u, x_u=x_u, d_old=d_old)
-        for m in hit:  # every module of the segment but cur is a candidate
-            k = mods.index(m)
-            est[k] = rescore_candidate(
-                s_now, q_cur, b_old, stats.exit.item(m),
-                stats.sum_p.item(m), p_u=p_u, x_u=x_u, d_old=d_old,
-                d_new=cand_flows[ca + k],
+
+    zero_slack = 0.0
+    bmods: frozenset = frozenset()
+
+    def __init__(
+        self, network: FlowNetwork, membership: np.ndarray,
+        stats: ModuleStats,
+    ) -> None:
+        self.network = network
+        self.membership = membership
+        self.stats = stats
+        self.indptr = network.graph.indptr
+        self.indices = network.graph.indices
+        # Live module records, dropped when a commit writes the module.
+        self.records: dict[int, tuple] = {}
+
+    def score(self, block: np.ndarray):
+        g = self.network.graph
+        stats = self.stats
+        agg = aggregate_block_flows(
+            g.indptr, g.indices, g.weights, block, self.membership,
+            self.network.node_flow, id_space=g.num_vertices,
+        )
+        return agg, score_block(
+            agg,
+            q_seg=stats.exit[agg.seg_mods], p_seg=stats.sum_p[agg.seg_mods],
+            q_old=stats.exit[agg.current], p_old=stats.sum_p[agg.current],
+            sum_exit=stats.sum_exit,
+        )
+
+    def sum_exit(self) -> float:
+        return float(self.stats.sum_exit)
+
+    def record(self, m: int):
+        rec = self.records.get(m)
+        if rec is None:
+            rec = self.records[m] = module_record(
+                self.stats.exit.item(m), self.stats.sum_p.item(m)
             )
-        best = min(est)
-        k = est.index(best)  # first min
-        est[k] = math.inf
-        # No tie exemption here: an exact tie goes gray.
-        margin = best + mi
-        tgt, d_new, gap = mods[k], cand_flows[ca + k], min(est) - best
-    if margin >= e:
-        return cur, d_old
-    if margin <= -e and gap >= 2.0 * e:
-        return tgt, d_new
-    return None
+        return rec
+
+    def exact(self, u: int, cur: int, walk=None, i: int = 0):
+        if walk is None:
+            prop = best_move(self.network, self.membership, self.stats, u)
+            if not prop.is_move:
+                return None
+            return prop.target, prop.p_u, prop.x_u, prop.d_old, prop.d_new
+        mods, flows, p_u, x_u, d_old = walk.segment(i, False)
+        tgt, delta, d_new = score_vertex(
+            self.stats, cur, mods, flows, p_u=p_u, x_u=x_u, d_old=d_old
+        )
+        if delta < -MIN_IMPROVEMENT:
+            return tgt, p_u, x_u, d_old, d_new
+        return None
+
+    def commit(self, u: int, cur: int, tgt: int, p_u: float, x_u: float,
+               d_old: float, d_new: float) -> bool:
+        self.stats.apply_move(old=cur, new=tgt, p_u=p_u, x_u=x_u,
+                              d_old=d_old, d_new=d_new)
+        self.membership[u] = tgt
+        self.records.pop(cur, None)
+        self.records.pop(tgt, None)
+        return True
 
 
 def _sweep_batched(
@@ -141,117 +136,11 @@ def _sweep_batched(
     order: np.ndarray,
     config: InfomapConfig,
 ) -> tuple[int, int]:
-    """Batched sweep with exact serial semantics (see kernels.py docs).
-
-    Each block is scored against the live stats in one vectorized
-    shot; vertices whose decision is provably unaffected by commits
-    earlier in the block skip the exact scorer entirely (robust stays)
-    or commit the batch decision directly (robust moves, with
-    bitwise-identical apply_move arguments).  A vertex whose current or
-    candidate module a commit touched is certified the same way on
-    shifted batch deltas (:func:`_certify_touched`) while none of its
-    neighbours has moved.  Everything inside the guard is re-scored
-    exactly against the live stats, so the sweep's committed move
-    sequence is identical to the scalar sweep's.  The re-score reuses
-    the block's cached neighbour-module segment when no neighbour has
-    moved since the block was scored (the segment is then bitwise
-    equal to a fresh aggregation, by the ``aggregate_module_flows``
-    contract) and re-aggregates otherwise.
-
-    Returns ``(moves, exact re-scores)``.
-    """
-    mi = MIN_IMPROVEMENT
-    bs = config.batch_size
-    g = network.graph
-    indptr, indices = g.indptr, g.indices
-    moved = 0
-    rescores = 0
-    for lo in range(0, order.size, bs):
-        block = order[lo : lo + bs]
-        agg, score = score_block_stats(network, membership, stats, block)
-        stay = score.best_delta >= -mi
-        if bool(stay.all()):
-            # No commits => no drift: every stay decision is
-            # bitwise-identical to what the scalar path would do.
-            continue
-        # Python floats: numpy scalar arithmetic costs more than the
-        # per-vertex guards it feeds (the values are the same).
-        s0 = float(stats.sum_exit)
-        # Modules whose aggregates a commit in this block changed, and
-        # the vertices committed in this block.
-        touched: set[int] = set()
-        movers: set[int] = set()
-        blk = BlockLists(agg, score)
-        seg_ptr = blk.seg_ptr
-        seg_mods = blk.seg_mods
-        p_us, x_us, d_olds = blk.p_u, blk.x_u, blk.d_old
-        targets, deltas, d_news = blk.target, blk.delta, blk.d_new
-        gaps = blk.gap
-
-        def commit(u: int, cur: int, tgt: int, p_u: float, x_u: float,
-                   d_old: float, d_new: float) -> None:
-            nonlocal moved
-            stats.apply_move(old=cur, new=tgt, p_u=p_u, x_u=x_u,
-                             d_old=d_old, d_new=d_new)
-            membership[u] = tgt
-            moved += 1
-            touched.add(cur)
-            touched.add(tgt)
-            movers.add(u)
-
-        for i, (u, cur, st) in enumerate(
-            zip(block.tolist(), blk.current, stay.tolist())
-        ):
-            if not touched:
-                # Snapshot still live: batch decision == scalar
-                # decision bitwise.
-                if not st:
-                    commit(u, cur, targets[i], p_us[i], x_us[i],
-                           d_olds[i], d_news[i])
-                continue
-            a = seg_ptr[i]
-            b = seg_ptr[i + 1]
-            if cur not in touched and touched.isdisjoint(seg_mods[a:b]):
-                # Only the exit sum drifted (and no neighbour moved: a
-                # mover's old module would be in the segment).
-                s_now = float(stats.sum_exit)
-                bound = drift_guard_bound(s_now - s0, x_us[i], s0, s_now)
-                if bound > 0.0:
-                    bound += CERT_SLACK
-                margin = deltas[i] + mi
-                if margin >= bound:
-                    continue  # provably stays under live stats
-                if margin <= -bound and gaps[i] >= 2.0 * bound:
-                    commit(u, cur, targets[i], p_us[i], x_us[i],
-                           d_olds[i], d_news[i])
-                    continue
-            elif not movers.isdisjoint(
-                indices[indptr[u] : indptr[u + 1]].tolist()
-            ):
-                # A neighbour moved: re-aggregate.
-                rescores += 1
-                prop = best_move(network, membership, stats, u)
-                if prop.is_move:
-                    commit(u, cur, prop.target, prop.p_u, prop.x_u,
-                           prop.d_old, prop.d_new)
-                continue
-            else:
-                dec = _certify_touched(blk, i, cur, stats, touched, s0, mi)
-                if dec is not None:
-                    if dec[0] != cur:
-                        commit(u, cur, dec[0], p_us[i], x_us[i],
-                               d_olds[i], dec[1])
-                    continue
-            # Inside the guard: re-score the cached segment exactly
-            # against live stats.
-            rescores += 1
-            tgt, delta, d_new = score_vertex(
-                stats, cur, agg.seg_mods[a:b], agg.seg_flows[a:b],
-                p_u=p_us[i], x_u=x_us[i], d_old=d_olds[i],
-            )
-            if delta < -mi:
-                commit(u, cur, tgt, p_us[i], x_us[i], d_olds[i], d_new)
-    return moved, rescores
+    """The batched ladder over the live stats: the scalar sweep's
+    moves.  Returns ``(moves, score_vertex + best_move calls)``."""
+    return sweep(
+        _StatsStore(network, membership, stats), order, config.batch_size
+    )
 
 
 def cluster_level(

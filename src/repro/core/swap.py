@@ -47,13 +47,13 @@ the last bit regardless of rank count or transport — the same fact
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..partition.distgraph import LocalGraph
+from .kernels import module_record
 
 __all__ = [
     "ModuleInfo",
@@ -83,18 +83,23 @@ class TableArrays:
     sum_p: np.ndarray  # float64[k]
     members: "np.ndarray | None" = None  # int64[k]
 
+    def _find(self, mod_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Clamped positions of *mod_ids* and whether each is present."""
+        pos = np.minimum(
+            np.searchsorted(self.mod_ids, mod_ids), self.mod_ids.size - 1
+        )
+        return pos, self.mod_ids[pos] == mod_ids
+
     def lookup(
         self, mod_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (q_m, p_m) with 0.0 for absent modules."""
         if self.mod_ids.size == 0 or mod_ids.size == 0:
             return np.zeros(mod_ids.size), np.zeros(mod_ids.size)
-        pos = np.searchsorted(self.mod_ids, mod_ids)
-        pos_c = np.minimum(pos, self.mod_ids.size - 1)
-        hit = self.mod_ids[pos_c] == mod_ids
+        pos, hit = self._find(mod_ids)
         return (
-            np.where(hit, self.exit[pos_c], 0.0),
-            np.where(hit, self.sum_p[pos_c], 0.0),
+            np.where(hit, self.exit[pos], 0.0),
+            np.where(hit, self.sum_p[pos], 0.0),
         )
 
     def lookup_members(
@@ -110,10 +115,8 @@ class TableArrays:
             raise ValueError("snapshot was built without a members column")
         if self.mod_ids.size == 0 or mod_ids.size == 0:
             return np.full(mod_ids.size, default, dtype=np.int64)
-        pos = np.searchsorted(self.mod_ids, mod_ids)
-        pos_c = np.minimum(pos, self.mod_ids.size - 1)
-        hit = self.mod_ids[pos_c] == mod_ids
-        return np.where(hit, self.members[pos_c], default)
+        pos, hit = self._find(mod_ids)
+        return np.where(hit, self.members[pos], default)
 
 
 @dataclass(frozen=True)
@@ -165,12 +168,12 @@ class Contribution:
 class _ModuleRecords(dict):
     """``{module id → (q, p, n, plogp(q), plogp(q + p))}``, filled lazily.
 
-    A hit is a plain dict lookup; a miss computes the record from the
-    table's columns and stores it.  An absent module reads as
-    ``(0.0, 0.0, 1, 0.0, 0.0)``.  Each ``plogp`` is
-    ``x * log2(x) if x > 1e-300 else 0.0`` with ``math.log2`` and
-    ``q + p`` added in that order — the scorer's inline form, so a
-    cached term is bitwise the term it replaces.
+    A hit is a plain dict lookup; a miss builds the record from the
+    table's columns with :func:`~repro.core.kernels.module_record` (the
+    scorer's ``math.log2`` form, so a cached term is bitwise the term it
+    replaces) and stores it.  An absent module reads as zero aggregates
+    and a member count of 1: the min-label rule treats an unknown
+    module as a singleton.
     """
 
     __slots__ = ("_table",)
@@ -184,18 +187,9 @@ class _ModuleRecords(dict):
     ) -> tuple[float, float, int, float, float]:
         t = self._table
         i = t._pos.get(mod_id)
-        if i is None:
-            # Zero aggregates, and a member count of 1: the min-label
-            # rule treats an unknown module as a singleton.
-            rec = (0.0, 0.0, 1, 0.0, 0.0)
-        else:
-            q, p, n = t._read(i)
-            b = q + p
-            rec = (
-                q, p, n,
-                q * math.log2(q) if q > 1e-300 else 0.0,
-                b * math.log2(b) if b > 1e-300 else 0.0,
-            )
+        rec = module_record(0.0, 0.0) if i is None else module_record(
+            *t._read(i)
+        )
         self[mod_id] = rec
         return rec
 
@@ -222,8 +216,9 @@ class ModuleTable:
     In-place mutation of the base columns is deliberate: the batch
     sweep's :class:`TableArrays` "snapshot" of this table is live, and
     the sweep's certification logic only trusts snapshot entries whose
-    modules are untouched since the chunk was scored (touched modules
-    force the scalar fallback, which reads this table directly).
+    modules are untouched since the chunk was scored (a touched module
+    is read live through ``records``, or the vertex goes to the exact
+    scorer, which reads this table directly).
     """
 
     __slots__ = (
@@ -234,12 +229,6 @@ class ModuleTable:
     def __init__(self) -> None:
         self.records = _ModuleRecords(self)
         self.reset(_EMPTY_I64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64)
-
-    def __len__(self) -> int:
-        return self.ids.size + len(self._ov_ids)
-
-    def __contains__(self, mod_id: int) -> bool:
-        return mod_id in self._pos
 
     def reset(
         self,
@@ -274,28 +263,6 @@ class ModuleTable:
         )
         srt = np.argsort(ids, kind="stable")
         self.reset(ids[srt], exit_[srt], sum_p[srt], members[srt])
-
-    # -- scalar accessors (the dict-.get replacements) ---------------------
-    def get_q(self, mod_id: int, default: float = 0.0) -> float:
-        i = self._pos.get(mod_id)
-        if i is None:
-            return default
-        k = self.ids.size
-        return float(self.exit[i]) if i < k else self._ov_exit[i - k]
-
-    def get_p(self, mod_id: int, default: float = 0.0) -> float:
-        i = self._pos.get(mod_id)
-        if i is None:
-            return default
-        k = self.ids.size
-        return float(self.sum_p[i]) if i < k else self._ov_sum_p[i - k]
-
-    def get_n(self, mod_id: int, default: int = 0) -> int:
-        i = self._pos.get(mod_id)
-        if i is None:
-            return default
-        k = self.ids.size
-        return int(self.members[i]) if i < k else self._ov_members[i - k]
 
     # -- mutation ----------------------------------------------------------
     def _read(self, i: int) -> tuple[float, float, int]:
@@ -379,22 +346,20 @@ class _TableColumnView(Mapping):
     immediately visible.
     """
 
-    __slots__ = ("_table", "_get")
+    __slots__ = ("_table", "_col")
 
-    def __init__(self, table: ModuleTable, getter) -> None:
+    def __init__(self, table: ModuleTable, col: int) -> None:
         self._table = table
-        self._get = getter
+        self._col = col  # position in ModuleTable._read's (q, p, n)
 
     def __getitem__(self, mod_id: int):
-        if mod_id not in self._table:
-            raise KeyError(mod_id)
-        return self._get(mod_id)
+        return self._table._read(self._table._pos[mod_id])[self._col]
 
     def __iter__(self):
         return iter(self._table._pos)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._table._pos)
 
 
 class LocalModuleState:
@@ -447,15 +412,15 @@ class LocalModuleState:
     # -- dict-style read views over the live table ------------------------
     @property
     def table_exit(self) -> _TableColumnView:
-        return _TableColumnView(self._table, self._table.get_q)
+        return _TableColumnView(self._table, 0)
 
     @property
     def table_sum_p(self) -> _TableColumnView:
-        return _TableColumnView(self._table, self._table.get_p)
+        return _TableColumnView(self._table, 1)
 
     @property
     def table_members(self) -> _TableColumnView:
-        return _TableColumnView(self._table, self._table.get_n)
+        return _TableColumnView(self._table, 2)
 
     @property
     def table_records(self) -> _ModuleRecords:

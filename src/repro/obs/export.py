@@ -65,7 +65,7 @@ def convergence_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
     One row per ``(level, round)``: the globally-consistent values
     (``codelength``, ``moves``) come from the first rank that reported
     the round; the per-rank values (``boundary_bytes``, ``frontier``,
-    ``swap_backs``) are summed across ranks.
+    ``swap_backs``, ``exact_rescores``) are summed across ranks.
     """
     rows: dict[tuple[int, int], dict[str, Any]] = {}
     for ev in events:
@@ -83,12 +83,14 @@ def convergence_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
                 "boundary_bytes": int(args.get("boundary_bytes", 0)),
                 "frontier": int(args.get("frontier", 0)),
                 "swap_backs": int(args.get("swap_backs", 0)),
+                "exact_rescores": int(args.get("exact_rescores", 0)),
                 "ranks": 1,
             }
         else:
             row["boundary_bytes"] += int(args.get("boundary_bytes", 0))
             row["frontier"] += int(args.get("frontier", 0))
             row["swap_backs"] += int(args.get("swap_backs", 0))
+            row["exact_rescores"] += int(args.get("exact_rescores", 0))
             row["ranks"] += 1
     return [rows[k] for k in sorted(rows)]
 

@@ -9,6 +9,7 @@ from repro.baselines import gossipmap
 from repro.core import (
     DistributedInfomap,
     FlowNetwork,
+    IncrementalSession,
     InfomapConfig,
     ModuleStats,
     SequentialInfomap,
@@ -16,6 +17,7 @@ from repro.core import (
     sequential_infomap,
 )
 from repro.graph import (
+    GraphDelta,
     count_disconnected_modules,
     from_edges,
     load_dataset,
@@ -239,6 +241,24 @@ class TestQualityAgainstSequential:
         graph = load_dataset("dblp", scale=0.5, seed=0).graph
         res = distributed_infomap(graph, 4)
         assert count_disconnected_modules(graph, res.membership) == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a warm update splits only the modules a delete cut, so "
+        "the cold solve's one disconnected amazon module survives it; "
+        "splitting modules into components before the merge is the fix",
+    )
+    def test_no_disconnected_modules_after_warm_update(self):
+        graph = load_dataset("amazon", scale=0.5, seed=0).graph
+        session = IncrementalSession(graph, nranks=4, backend="threads")
+        session.solve()
+        nbrs = set(graph.neighbors(0).tolist())
+        v = next(v for v in range(1, graph.num_vertices) if v not in nbrs)
+        res = session.update(GraphDelta(
+            src=[0], dst=[v], weight=[1.0], op=[GraphDelta.INSERT]
+        ))
+        assert count_disconnected_modules(session.graph, res.membership) == 0
 
 
 class TestSwapBackRule:

@@ -28,27 +28,30 @@ from repro.core import (
     InfomapConfig,
     ModuleStats,
     aggregate_block_flows,
+    aggregate_module_flows,
     best_move,
     distributed_infomap,
     drift_guard_bound,
     neighbor_module_flows,
-    score_block_stats,
     score_vertex,
     sequential_infomap,
 )
 from repro.core.distributed import (
+    TIE_EPS,
     _evaluate_move,
+    _near_tie,
     _score_candidates,
+    _TableStore,
 )
 from repro.core.kernels import (
     CERT_SLACK,
     BlockAggregates,
-    BlockLists,
+    _Walk,
     score_block,
-    score_block_table,
 )
 from repro.core.mapequation import delta_codelength
 from repro.core.moves import MIN_IMPROVEMENT
+from repro.core.sequential import _StatsStore
 from repro.core.swap import LocalModuleState, TableArrays
 from repro.graph import (
     barabasi_albert,
@@ -130,7 +133,7 @@ class TestAggregateBlockFlows:
         membership = np.arange(n, dtype=np.int64)
         stats = ModuleStats.from_membership(net, membership)
         block = np.arange(n, dtype=np.int64)
-        agg, score = score_block_stats(net, membership, stats, block)
+        agg, score = _StatsStore(net, membership, stats).score(block)
         for i in range(n):
             a, b = int(agg.seg_ptr[i]), int(agg.seg_ptr[i + 1])
             mods = agg.seg_mods[a:b]
@@ -480,7 +483,7 @@ class TestDistributedEquivalence:
 
 
 def _decision_bits(dec):
-    """A ``_Decision`` as a tuple compared bitwise (floats as bytes)."""
+    """A ``MoveProposal`` as a tuple compared bitwise (floats as bytes)."""
     if dec is None:
         return None
     return tuple(
@@ -492,7 +495,7 @@ def _decision_bits(dec):
 class TestCachedSegmentRescore:
     """The batched distributed sweep's fallback contract: while none of
     a vertex's stored neighbours has moved since its chunk was scored,
-    ``_score_candidates`` fed the chunk's ``score_block_table`` segment
+    ``_score_candidates`` fed the chunk's ``_TableStore.score`` segment
     returns exactly ``_evaluate_move``'s decision, field for field."""
 
     @settings(max_examples=30, deadline=None)
@@ -534,13 +537,11 @@ class TestCachedSegmentRescore:
             dec = _evaluate_move(state, int(li), cfg, bmods)
             if dec is not None:
                 state.apply_local_move(
-                    dec.local_idx, dec.target, p_u=dec.p_u, x_u=dec.x_u,
+                    dec.vertex, dec.target, p_u=dec.p_u, x_u=dec.x_u,
                     d_old=dec.d_old, d_new=dec.d_new,
                 )
         block = rng.permutation(lg.num_owned).astype(np.int64)
-        agg, _ = score_block_table(
-            state, state.table_arrays(), block, id_space=n
-        )
+        agg, _ = _TableStore(state, cfg, set(), n, None).score(block)
         # Walk the block as a chunk: commit every move, so later
         # vertices are scored against a table the earlier ones changed.
         movers: set[int] = set()
@@ -581,7 +582,7 @@ class TestBatchSmoke4Ranks:
 
 
 # ---------------------------------------------------------------------------
-# Touched-module certification: shifted batch deltas, exact decisions
+# Touched-module certification (the ladder's step 5) on both module stores
 # ---------------------------------------------------------------------------
 def _touch_kind(cur, cands, touched):
     cur_hit = cur in touched
@@ -615,77 +616,131 @@ def _flow_into(mods, flows, m):
     return float(flows[hit[0]]) if hit.size else 0.0
 
 
-def _walk_sequential(seed, k, size, force, noise=None, p_out=0.05):
-    """Walk one scored block of a random planted graph like the batched
-    sweep, committing the exact move or, with probability *force*, a
-    forced one (:func:`_forced_target`).  Every vertex whose current or
-    candidate module a commit touched, while none of its neighbours has
-    moved, is certified and compared with ``score_vertex`` on the live
-    stats.  Returns ``{(touch kind, outcome): count}``."""
-    from repro.core.sequential import _certify_touched
+def _initial_membership(lgraph, k, noise, rng):
+    """Noisy planted labels, or (``noise=None``) half singletons and
+    half random modules."""
+    n = lgraph.graph.num_vertices
+    if noise is not None:
+        return _noisy_labels(lgraph.labels, k, noise, rng)
+    return np.where(
+        rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, size=n)
+    ).astype(np.int64)
 
+
+def _stats_store(seed, k, size, noise, p_out):
+    """A ``ModuleStats`` store on a random planted graph, with the
+    per-vertex ``(neighbours, fresh flows)`` the walk needs."""
     lgraph = planted_partition(k, size, 0.5, p_out, seed=seed)
     g = lgraph.graph
     if g.total_weight <= 0:
-        return {}
+        return None
+    net = FlowNetwork.from_graph(g)
+    rng = np.random.default_rng(seed)
+    membership = _initial_membership(lgraph, k, noise, rng)
+    stats = ModuleStats.from_membership(net, membership)
+    store = _StatsStore(net, membership, stats)
+
+    def flows(u):
+        mods, fl, x_u = neighbor_module_flows(net, membership, u)
+        return g.neighbors(u).tolist(), mods, fl, x_u, float(net.node_flow[u])
+
+    return store, flows
+
+
+def _table_store(seed, k, size, noise, p_out, min_label, jitter):
+    """A p=1 module-table store on a random planted graph whose edge
+    weights are jittered by a relative *jitter* (near-ties within
+    ``TIE_EPS`` between otherwise identical candidates), with a random
+    half of the modules under the min-label rule."""
+    lgraph = planted_partition(k, size, 0.5, p_out, seed=seed)
+    g = lgraph.graph
+    if g.total_weight <= 0:
+        return None
+    rng = np.random.default_rng(seed)
+    if jitter:
+        g = from_edges(
+            [(u, v, w * (1.0 + jitter * rng.random()))
+             for u, v, w in g.edges()],
+            num_vertices=g.num_vertices,
+        )
     net = FlowNetwork.from_graph(g)
     n = g.num_vertices
+    lg = local_views_delegate(net, delegate_partition(g, 1, d_high=n + 1))[0]
+    state = LocalModuleState(lg)
+    state.module_of = _initial_membership(lgraph, k, noise, rng)[lg.global_of]
+    own = state.contribution()
+    state.rebuild_table(own, [])
+    state.sum_exit_global = own.total_exit()
+    mods = np.unique(state.module_of)
+    bmods = set(
+        rng.choice(mods, size=max(1, mods.size // 2), replace=False).tolist()
+    ) if min_label else set()
+
+    def commit(li, cur, tgt, p_u, x_u, d_old, d_new):
+        state.apply_local_move(li, tgt, p_u=p_u, x_u=x_u, d_old=d_old,
+                               d_new=d_new)
+        return True
+
+    store = _TableStore(state, InfomapConfig(min_label=min_label), bmods,
+                        n, commit)
+
+    def flows(li):
+        mods, fl, x_u = aggregate_module_flows(
+            *lg.neighbors_of(li), li, state.module_of
+        )
+        return (lg.neighbors_of(li)[0].tolist(), mods, fl, x_u,
+                float(lg.flow[li]))
+
+    return store, flows
+
+
+def _walk(store, flows, n, seed, force):
+    """Walk one scored block of *store* as the ladder does, committing
+    the exact move or, with probability *force*, a forced one
+    (:func:`_forced_target`).  Every vertex whose current or candidate
+    module a commit touched, while none of its neighbours has moved, is
+    certified (:meth:`_Walk.certify`) and compared with the store's
+    exact scorer (``score_vertex`` or ``_score_candidates``) on the live
+    aggregates.  Returns ``{(touch kind, outcome): count}``."""
     rng = np.random.default_rng(seed)
-    if noise is not None:
-        membership = _noisy_labels(lgraph.labels, k, noise, rng)
-    else:
-        membership = np.where(
-            rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, size=n)
-        ).astype(np.int64)
-    stats = ModuleStats.from_membership(net, membership)
-    mi = MIN_IMPROVEMENT
     block = rng.permutation(n).astype(np.int64)
-    agg, score = score_block_stats(net, membership, stats, block)
-    blk = BlockLists(agg, score)
-    s0 = float(stats.sum_exit)
-    touched: set[int] = set()
-    movers: set[int] = set()
+    agg, score = store.score(block)
+    w = _Walk(store, agg, score)
     seen: dict = {}
     for i, u in enumerate(block.tolist()):
-        cur = int(membership[u])
-        a, b = int(agg.seg_ptr[i]), int(agg.seg_ptr[i + 1])
-        mods, flows = agg.seg_mods[a:b], agg.seg_flows[a:b]
-        kind = _touch_kind(cur, set(mods.tolist()) - {cur}, touched)
-        if kind and movers.isdisjoint(g.neighbors(u).tolist()):
-            got = _certify_touched(blk, i, cur, stats, touched, s0, mi)
-            tgt, delta, d_new = score_vertex(
-                stats, cur, mods, flows, p_u=float(agg.p_u[i]),
-                x_u=float(agg.x_u[i]), d_old=float(agg.d_old[i]),
-            )
+        cur = w.current[i]
+        a, b = w.seg_ptr[i], w.seg_ptr[i + 1]
+        nbrs, mods, fl, x_u, p_u = flows(u)
+        kind = _touch_kind(cur, set(w.seg_mods[a:b]) - {cur}, w.touched)
+        if kind and w.movers.isdisjoint(nbrs):
+            got = w.certify(i, store.sum_exit())
+            want = store.exact(u, cur, w, i)
             outcome = "gray"
             if got is not None:
-                want = tgt if delta < -mi else cur
-                assert got[0] == want, (u, got, want)
-                if want != cur:
-                    assert _bits(got[1]) == _bits(d_new)
-                outcome = "stay" if want == cur else "move"
+                if want is None:
+                    assert got[0] == cur, (u, got)
+                else:
+                    assert got[0] == want[0], (u, got, want)
+                    assert _bits(got[1]) == _bits(want[4])
+                outcome = "stay" if got[0] == cur else "move"
             seen[kind, outcome] = seen.get((kind, outcome), 0) + 1
-        nmods, nflows, x_u = neighbor_module_flows(net, membership, u)
-        tgt = _forced_target(rng, force, nmods[nmods != cur], n + i)
+        tgt = _forced_target(rng, force, mods[mods != cur], n + i)
         if tgt is None:
-            tgt = best_move(net, membership, stats, u).target
+            move = store.exact(u, cur)
+            tgt = cur if move is None else move[0]
         if tgt != cur:
-            stats.apply_move(
-                old=cur, new=tgt, p_u=float(net.node_flow[u]), x_u=x_u,
-                d_old=_flow_into(nmods, nflows, cur),
-                d_new=_flow_into(nmods, nflows, tgt),
-            )
-            membership[u] = tgt
-            touched.update((cur, tgt))
-            movers.add(u)
+            store.commit(u, cur, tgt, p_u, x_u, _flow_into(mods, fl, cur),
+                         _flow_into(mods, fl, tgt))
+            w.touched.update((cur, tgt))
+            w.movers.add(u)
     return seen
 
 
 class TestTouchedCertifier:
     """A vertex whose current or candidate module an earlier commit in
-    its block touched is certified on shifted batch deltas; every
-    certified (non-gray) outcome must be the exact scorer's on the live
-    aggregates."""
+    its block touched is certified on shifted or recomputed batch
+    deltas; on either module store, every certified (non-gray) outcome
+    must be the store's exact scorer's on the live aggregates."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -699,28 +754,79 @@ class TestTouchedCertifier:
     def test_property_sequential_matches_score_vertex(
         self, seed, k, size, force, noise, p_out
     ):
-        _walk_sequential(seed, k, size, force, noise, p_out)
+        case = _stats_store(seed, k, size, noise, p_out)
+        assume(case is not None)
+        _walk(*case, k * size, seed, force)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        k=st.integers(2, 20),
+        size=st.integers(4, 16),
+        force=st.sampled_from([0.0, 0.1, 0.4]),
+        noise=st.sampled_from([None, 0.0, 0.1, 0.3]),
+        p_out=st.sampled_from([0.005, 0.05]),
+        min_label=st.booleans(),
+        jitter=st.sampled_from([0.0, 1e-11]),
+    )
+    def test_property_table_matches_score_candidates(
+        self, seed, k, size, force, noise, p_out, min_label, jitter
+    ):
+        case = _table_store(seed, k, size, noise, p_out, min_label, jitter)
+        assume(case is not None)
+        _walk(*case, k * size, seed, force)
 
     def test_every_touch_kind_certifies(self):
         # Many small, sparsely linked communities: a commit touches few
-        # of a vertex's modules, so every kind of touch occurs.
-        seq: dict = {}
-        for seed in range(3):
-            for key, c in _walk_sequential(
-                seed, 20, 10, 0.1, 0.1, 0.005
-            ).items():
-                seq[key] = seq.get(key, 0) + c
-        for kind in ("current", "candidate", "both"):
-            for outcome in ("stay", "move"):
-                assert seq.get((kind, outcome), 0) > 0, (kind, outcome, seq)
+        # of a vertex's modules, so every kind of touch occurs.  The
+        # table store runs under the min-label rule with jittered
+        # weights.
+        stores = {
+            "stats": lambda seed: _stats_store(seed, 20, 10, 0.1, 0.005),
+            "table": lambda seed: _table_store(
+                seed, 20, 10, 0.1, 0.005, True, 1e-11
+            ),
+        }
+        for name, make in stores.items():
+            seen: dict = {}
+            for seed in range(3):
+                for key, c in _walk(*make(seed), 200, seed, 0.1).items():
+                    seen[key] = seen.get(key, 0) + c
+            for kind in ("current", "candidate", "both"):
+                for outcome in ("stay", "move"):
+                    assert seen.get((kind, outcome), 0) > 0, (
+                        name, kind, outcome, seen
+                    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        count=st.integers(1, 6),
+        e=st.sampled_from([1e-12, 3e-12, 2e-11]),
+    )
+    def test_property_rebreak_matches_exact_rule(self, seed, count, e):
+        # Candidate deltas near-tied on the scale of TIE_EPS, and
+        # estimates of them within e: a certified re-break must be the
+        # one _score_candidates makes on the exact deltas.
+        rng = np.random.default_rng(seed)
+        exact = (-1e-3 + TIE_EPS * rng.choice(
+            [0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0], size=count
+        ) + rng.uniform(-3e-11, 3e-11, size=count)).tolist()
+        est = [d + rng.uniform(-e, e) for d in exact]
+        k = est.index(min(est))
+        others = est[:k] + est[k + 1:]
+        assume(not others or min(others) - est[k] >= 2.0 * e)
+        got = _near_tie(est, est[k], k, e)
+        if got is not None:
+            assert got == _near_tie(exact, min(exact), exact.index(min(exact)))
+            assert got == next(j for j, d in enumerate(exact)
+                               if d <= min(exact) + TIE_EPS)
 
     def test_sequential_shift_decides_after_current_module_empties(self):
         # Every co-member of u that is not its neighbour leaves for a
         # fresh module: only u's current module changed, often enough
         # to flip u's stale batch decision.  The certified outcome must
         # be the live one, never the stale one.
-        from repro.core.sequential import _certify_touched
-
         g = planted_partition(4, 12, 0.3, 0.05, seed=4).graph
         net = FlowNetwork.from_graph(g)
         n = g.num_vertices
@@ -730,27 +836,21 @@ class TestTouchedCertifier:
         for u in range(n):
             membership = base.astype(np.int64)
             stats = ModuleStats.from_membership(net, membership)
-            agg, score = score_block_stats(
-                net, membership, stats, np.array([u])
-            )
-            blk = BlockLists(agg, score)
-            s0 = float(stats.sum_exit)
+            store = _StatsStore(net, membership, stats)
+            agg, score = store.score(np.array([u]))
+            w = _Walk(store, agg, score)
             cur = int(membership[u])
             nbrs = set(g.neighbors(u).tolist())
-            touched: set[int] = set()
-            for j, w in enumerate(np.flatnonzero(membership == cur).tolist()):
-                if w == u or w in nbrs:
+            for j, v in enumerate(np.flatnonzero(membership == cur).tolist()):
+                if v == u or v in nbrs:
                     continue
-                mods, flows, x_w = neighbor_module_flows(net, membership, w)
-                stats.apply_move(
-                    old=cur, new=n + j, p_u=float(net.node_flow[w]),
-                    x_u=x_w, d_old=_flow_into(mods, flows, cur), d_new=0.0,
-                )
-                membership[w] = n + j
-                touched.update((cur, n + j))
-            if not touched:
+                mods, flows, x_v = neighbor_module_flows(net, membership, v)
+                store.commit(v, cur, n + j, float(net.node_flow[v]), x_v,
+                             _flow_into(mods, flows, cur), 0.0)
+                w.touched.update((cur, n + j))
+            if not w.touched:
                 continue
-            got = _certify_touched(blk, 0, cur, stats, touched, s0, mi)
+            got = w.certify(0, store.sum_exit())
             tgt, delta, _ = score_vertex(
                 stats, cur, agg.seg_mods, agg.seg_flows,
                 p_u=float(agg.p_u[0]), x_u=float(agg.x_u[0]),
@@ -767,8 +867,10 @@ class TestTouchedCertifier:
 class TestExactRescoreCount:
     """The batched sequential sweep counts its exact per-vertex re-scores
     (``score_vertex`` plus ``best_move`` calls) in ``work`` and on each
-    sweep span.  A certifier that silently went all-gray would keep
-    every decision and lose the speed; this count catches it."""
+    sweep span; the distributed owned-vertex sweeps count theirs in the
+    ``round`` trace instants.  A certifier that silently went all-gray
+    would keep every decision and lose the speed; these counts catch
+    it."""
 
     #: Exact re-scores of this solve before touched-module certification.
     BEFORE = 5501
@@ -795,3 +897,16 @@ class TestExactRescoreCount:
         work: dict = {}
         sequential_infomap(g, _cfg(0, seed=1), work=work)
         assert work["exact_rescores"] == work["vertices_swept"]
+
+    def test_distributed_touched_certification_cuts_exact_rescores(self):
+        # 5,119 exact-scorer calls before the module-table store
+        # certified touched vertices; 3,508 of them were touched ones.
+        from repro.graph.datasets import load_dataset
+        from repro.obs.export import convergence_rows
+        from repro.obs.trace import Tracer
+
+        g = load_dataset("friendster", seed=0, scale=0.05).graph
+        tracer = Tracer()
+        distributed_infomap(g, 2, InfomapConfig(seed=1), tracer=tracer)
+        rows = convergence_rows(tracer.merged_events())
+        assert 0 < sum(r["exact_rescores"] for r in rows) <= 3000

@@ -1,8 +1,10 @@
-"""Public names stay resolvable: examples' imports and every ``__all__``.
+"""Public names stay resolvable: the imports of examples, benchmarks and
+perfbench, and every ``__all__``.
 
-Nothing else runs ``examples/``, so deleting or renaming a public name
-could break an example silently.  These checks only parse and import —
-no example is executed — so they stay cheap enough for tier 1.
+Nothing else runs ``examples/`` in tier 1, nor ``benchmarks/`` (only
+under ``--run-bench``) or ``perfbench/``, so deleting or renaming a name
+could break them silently.  These checks only parse and import —
+nothing there is executed — so they stay cheap enough for tier 1.
 
 Two guards keep the surface from growing unseen: ``InfomapConfig``'s
 field names are pinned, so a new knob needs a visible edit here, and
@@ -57,6 +59,25 @@ def test_example_imports_resolve(path):
     imports = _repro_imports(path)
     assert imports, f"{path.name} imports nothing from repro"
     for module, name in imports:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
+
+
+#: Benchmark and perfbench files that import from ``repro``: they run
+#: only under ``--run-bench`` or by hand, so a renamed private name they
+#: import would otherwise pass tier 1.
+BENCH_FILES = [
+    path for top in ("benchmarks", "perfbench")
+    for path in sorted((ROOT / top).rglob("*.py")) if _repro_imports(path)
+]
+
+
+@pytest.mark.parametrize(
+    "path", BENCH_FILES, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_bench_imports_resolve(path):
+    for module, name in _repro_imports(path):
         mod = importlib.import_module(module)
         if name is not None and not hasattr(mod, name):
             importlib.import_module(f"{module}.{name}")  # a submodule
