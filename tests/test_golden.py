@@ -7,6 +7,9 @@ This test pins the solver's *outputs* instead: for each (graph,
 SHA-256 of the final membership and of the per-level codelength
 trajectory, recorded from a known-good tree.  Any change to a single
 move decision or a single rounding in the codelength fails here.
+``cliques-400-10`` is pinned at ``batch_size=256`` only: it is the
+clique graph whose level-0 sweeps commit almost every vertex through
+the batched ladder's certified step.
 
 ``tests/golden/distributed.json`` does the same for the SPMD drivers
 (cold, warm incremental, out-of-core and the GossipMap baseline, all
@@ -17,6 +20,12 @@ also pins the per-phase logical ledger: the canonical JSON of
 ``extras["comm_snapshot"]`` with every wall-clock ``*seconds*`` key
 dropped, so a change to what any rank sends, in which phase, or how
 many bytes its frames take fails here.
+
+The small clique entries (``cliques-8-6`` at p=4, ``external-cliques-12-5``
+at p=2) never reach the batched ladder, :func:`repro.core.kernels.sweep`:
+a rank sweeps fewer owned vertices than ``_BATCH_MIN_ACTIVE`` and takes
+the scalar loop.  ``cliques-400-10`` (2,000 vertices per rank at p=2,
+in-RAM and out-of-core) pins the ladder on a clique graph.
 
 The digests depend on numpy's floating-point kernels (``np.log2`` in
 particular), so the file stamps the numpy version it was recorded
@@ -72,7 +81,10 @@ GRAPHS = {
     "dblp": lambda: load_dataset("dblp", seed=0).graph,
     "youtube": lambda: load_dataset("youtube", seed=0).graph,
     "amazon": lambda: load_dataset("amazon", seed=0).graph,
+    "cliques-400-10": lambda: ring_of_cliques(400, 10).graph,
 }
+# Graphs pinned at other batch sizes than BATCH_SIZES.
+GRAPH_BATCH_SIZES = {"cliques-400-10": (256,)}
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -136,9 +148,9 @@ def _incremental():
     return session.update(delta)
 
 
-def _external():
+def _external(graph):
     with tempfile.TemporaryDirectory() as tmp:
-        graph_to_store(ring_of_cliques(12, 5).graph, Path(tmp) / "s")
+        graph_to_store(graph, Path(tmp) / "s")
         return external_infomap(Path(tmp) / "s", 2, InfomapConfig(seed=3))
 
 
@@ -189,7 +201,15 @@ DIST_CASES = {
         for p in (2, 4)
     },
     "incremental-planted-8-25-s5/update/p=3": _incremental,
-    "external-cliques-12-5/p=2": _external,
+    "external-cliques-12-5/p=2": lambda: _external(
+        ring_of_cliques(12, 5).graph
+    ),
+    "cliques-400-10/p=2": lambda: distributed_infomap(
+        ring_of_cliques(400, 10).graph, 2, InfomapConfig(seed=3)
+    ),
+    "external-cliques-400-10/p=2": lambda: _external(
+        ring_of_cliques(400, 10).graph
+    ),
     "gossipmap-planted-300-6-s11/p=4": lambda: gossipmap(
         _planted(), 4, InfomapConfig(seed=5)
     ),
@@ -204,7 +224,7 @@ def record() -> dict:
     entries = {}
     for name, build in GRAPHS.items():
         graph = build()
-        for bs in BATCH_SIZES:
+        for bs in GRAPH_BATCH_SIZES.get(name, BATCH_SIZES):
             entries[_key(name, bs)] = digests(graph, bs)
     return {"numpy": np.__version__, "entries": entries}
 
@@ -239,7 +259,7 @@ def golden_dist() -> dict:
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_sequential_golden(golden, name):
     graph = GRAPHS[name]()
-    for bs in BATCH_SIZES:
+    for bs in GRAPH_BATCH_SIZES.get(name, BATCH_SIZES):
         assert digests(graph, bs) == golden[_key(name, bs)], _key(name, bs)
 
 
