@@ -498,7 +498,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 columns=[
                     "level", "round", "codelength", "moves",
                     "boundary_bytes", "frontier", "swap_backs",
-                    "exact_rescores",
+                    "exact_rescores", "bulk_commits",
                 ],
             )
         )

@@ -65,7 +65,8 @@ def convergence_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
     One row per ``(level, round)``: the globally-consistent values
     (``codelength``, ``moves``) come from the first rank that reported
     the round; the per-rank values (``boundary_bytes``, ``frontier``,
-    ``swap_backs``, ``exact_rescores``) are summed across ranks.
+    ``swap_backs``, ``exact_rescores``, ``bulk_commits``) are summed
+    across ranks.
     """
     rows: dict[tuple[int, int], dict[str, Any]] = {}
     for ev in events:
@@ -84,6 +85,7 @@ def convergence_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
                 "frontier": int(args.get("frontier", 0)),
                 "swap_backs": int(args.get("swap_backs", 0)),
                 "exact_rescores": int(args.get("exact_rescores", 0)),
+                "bulk_commits": int(args.get("bulk_commits", 0)),
                 "ranks": 1,
             }
         else:
@@ -91,6 +93,7 @@ def convergence_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
             row["frontier"] += int(args.get("frontier", 0))
             row["swap_backs"] += int(args.get("swap_backs", 0))
             row["exact_rescores"] += int(args.get("exact_rescores", 0))
+            row["bulk_commits"] += int(args.get("bulk_commits", 0))
             row["ranks"] += 1
     return [rows[k] for k in sorted(rows)]
 

@@ -20,7 +20,7 @@ Three event kinds, all tagged with ``rank`` plus whatever context
 * ``span``    — a timed block (``ts_us`` + ``dur_us``); phases, levels.
 * ``instant`` — a point event with arguments; per-round convergence
   samples (``codelength``, ``moves``, ``boundary_bytes``, ``frontier``,
-  ``swap_backs``, ``exact_rescores``).
+  ``swap_backs``, ``exact_rescores``, ``bulk_commits``).
 * ``counter`` — a sampled or cumulative numeric series; the
   communicator's byte meters emit cumulative counters with a ``delta``
   field so artifact totals reconcile *exactly* with the

@@ -172,11 +172,14 @@ def build_local_graphs(
     owner: np.ndarray,
     is_hub: np.ndarray,
     nranks: int,
+    rank: "int | None" = None,
 ) -> list[LocalGraph]:
     """Carve the flow network into per-rank :class:`LocalGraph` views.
 
     Generic over the placement: pass a delegate placement (stage 1) or
-    a plain 1D placement with ``is_hub`` all-False (stage 2).
+    a plain 1D placement with ``is_hub`` all-False (stage 2).  With a
+    *rank*, only that rank's view is built (a one-element list); it is
+    the view of the full build.
     """
     g = network.graph
     n = g.num_vertices
@@ -206,7 +209,7 @@ def build_local_graphs(
             ghosted_by.setdefault(int(v), []).append(r)
 
     locals_: list[LocalGraph] = []
-    for r in range(nranks):
+    for r in range(nranks) if rank is None else (rank,):
         lo, hi = rank_bounds[r], rank_bounds[r + 1]
         srcs = e_src[lo:hi]
         dsts = e_dst[lo:hi]
@@ -282,9 +285,10 @@ def local_views_delegate(
 
 
 def local_views_1d(
-    network: FlowNetwork, part: OneDPartition
+    network: FlowNetwork, part: OneDPartition, rank: "int | None" = None
 ) -> list[LocalGraph]:
-    """Local views for stage 2 (plain 1D, no delegates)."""
+    """Local views for stage 2 (plain 1D, no delegates); only *rank*'s
+    when given (:func:`build_local_graphs`)."""
     g = network.graph
     rows = g._row_of_entry()
     return build_local_graphs(
@@ -293,4 +297,5 @@ def local_views_1d(
         owner=part.owner,
         is_hub=np.zeros(g.num_vertices, dtype=bool),
         nranks=part.nranks,
+        rank=rank,
     )

@@ -81,6 +81,7 @@ class TestTraceAndInspect:
         out = capsys.readouterr().out
         assert "slowest rank per span" in out
         assert "convergence by (level, round)" in out
+        assert "exact_rescores" in out and "bulk_commits" in out
         assert "communication by phase" in out
         assert "Perfetto trace written" in out
         trace = json.loads(perfetto.read_text())

@@ -115,6 +115,27 @@ class TestOneDViews:
         assert views[0].num_ghosts == 0
         assert views[0].neighbor_ranks.size == 0
 
+    def test_one_rank_view_equals_full_build(self):
+        # Stage 2 builds only the calling rank's view; it must be that
+        # rank's view of the full build, field for field.
+        g = powerlaw_planted_partition(300, 8, seed=1).graph
+        net = FlowNetwork.from_graph(g)
+        part = OneDPartition.round_robin(g, 5)
+        full = local_views_1d(net, part)
+        for r in range(5):
+            (one,) = local_views_1d(net, part, rank=r)
+            for name, want in vars(full[r]).items():
+                got = getattr(one, name)
+                if isinstance(want, list):
+                    assert len(got) == len(want), name
+                    for a, b in zip(got, want):
+                        np.testing.assert_array_equal(a, b, err_msg=name)
+                elif isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, name
+                    np.testing.assert_array_equal(got, want, err_msg=name)
+                else:
+                    assert got == want, name
+
     def test_empty_rank_allowed(self):
         """More ranks than vertices: trailing ranks own nothing."""
         g = ring_of_cliques(2, 3).graph  # 6 vertices

@@ -1,5 +1,10 @@
 """Distributed Infomap end-to-end: equivalence, convergence, quality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,8 @@ from repro.graph import (
 from repro.metrics import nmi
 from repro.obs.export import convergence_rows
 from repro.obs.trace import Tracer
+
+import repro
 
 
 class TestSingleRankEquivalence:
@@ -316,3 +323,18 @@ def test_property_distributed_converges_and_is_exactly_reported(seed, p):
     net = FlowNetwork.from_graph(lg.graph)
     stats = ModuleStats.from_membership(net, res.membership)
     assert stats.codelength() == pytest.approx(res.codelength, abs=1e-9)
+
+
+def test_import_loads_numpy_random():
+    # numpy loads numpy.random lazily.  Procs ranks fork from the
+    # process that imported the solver, and each builds a generator:
+    # unless the import loaded numpy.random, every rank imports it
+    # again.  A fresh interpreter, so other tests' imports do not count.
+    script = (
+        "import sys\n"
+        "import repro.core.distributed\n"
+        "assert 'numpy.random' in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -22,9 +22,10 @@ from repro.core import (
     InfomapConfig,
     SequentialInfomap,
     distributed_infomap,
+    external_infomap,
     sequential_infomap,
 )
-from repro.graph import ring_of_cliques
+from repro.graph import graph_to_store, ring_of_cliques
 from repro.obs import (
     ARTIFACT_SCHEMA,
     NULL_BUFFER,
@@ -284,6 +285,49 @@ class TestRunArtifact:
         )
         history = result.extras["codelength_history"]
         assert [r["codelength"] for r in rows] == history[1:]
+        for r in rows:
+            for key in ("boundary_bytes", "frontier", "swap_backs",
+                        "exact_rescores", "bulk_commits"):
+                assert isinstance(r[key], int) and r[key] >= 0, key
+
+    def test_bulk_commits_counted_per_round(self, tmp_path):
+        # 2,000 owned vertices per rank on 1D blocks: the interior
+        # sweeps take the batched ladder, whose bulk step commits some
+        # level-0 round-1 moves.  Round instants carry the count, and
+        # the convergence rows sum it over ranks.
+        graph_to_store(ring_of_cliques(400, 10).graph, tmp_path / "s")
+        tracer = Tracer()
+        external_infomap(
+            tmp_path / "s", 2, InfomapConfig(seed=3), tracer=tracer
+        )
+        events = tracer.merged_events()
+        rounds = [
+            ev for ev in events
+            if ev["kind"] == "instant" and ev["name"] == "round"
+        ]
+        assert all("bulk_commits" in ev["args"] for ev in rounds)
+        rows = convergence_rows(events)
+        first = rows[0]
+        assert first["bulk_commits"] == sum(
+            ev["args"]["bulk_commits"] for ev in rounds
+            if (ev.get("level", 0), ev.get("round", 0)) == (0, 1)
+        )
+        assert 0 < first["bulk_commits"] <= first["moves"]
+
+    def test_sequential_sweep_spans_carry_counts(self):
+        tracer = Tracer()
+        sequential_infomap(
+            ring_of_cliques(400, 10).graph, InfomapConfig(seed=3),
+            tracer=tracer,
+        )
+        spans = [
+            ev for ev in tracer.merged_events()
+            if ev["kind"] == "span" and ev["name"] == "sweep"
+        ]
+        assert spans
+        for ev in spans:
+            assert {"exact_rescores", "bulk_commits"} <= set(ev["args"])
+        assert spans[0]["args"]["bulk_commits"] > 0
 
     def test_round_trip_and_schema_guard(self, artifact, tmp_path):
         art, _ = artifact
