@@ -17,6 +17,7 @@ from repro.core import (
     delta_from_values,
     plogp,
 )
+from repro.core.mapequation import RunPlan
 from repro.graph import (
     complete_graph,
     from_edges,
@@ -198,6 +199,42 @@ class TestDelta:
             a = self._move_args(net, membership, u, int(t))
             scalar = delta_codelength(stats, old=cur, new=int(t), **a)
             assert vec[i] == pytest.approx(scalar)
+
+    def test_apply_plan_matches_apply_move(self, setup):
+        # Moves with pairwise distinct modules, some emptying a singleton
+        # module (the clamp) and some leaving a larger one, committed
+        # as one plan and one at a time: bitwise the same stats.
+        g, net, membership, stats = setup
+        n = g.num_vertices
+        memb = membership.copy()
+        memb[:20] = n - 1 - np.arange(20)  # 20 singleton modules
+        base = ModuleStats.from_membership(net, memb)
+        other = next(u for u in range(20, n) if memb[u] != memb[30])
+        movers = [0, 1, 2, 3, 30, other]
+        olds = [int(memb[u]) for u in movers]
+        news = [n - 11, n - 12, n - 13, n - 14, n - 15, n - 16]
+        assert len(set(olds + news)) == 2 * len(movers)
+        args = [self._move_args(net, memb, u, t) for u, t in zip(movers, news)]
+        one = base.copy()
+        for o, t, a in zip(olds, news, args):
+            one.apply_move(old=o, new=t, **a)
+        col = {k: np.array([a[k] for a in args]) for k in args[0]}
+        old, new = np.array(olds), np.array(news)
+        plan = RunPlan(
+            np.array(movers), old, new,
+            q_old=base.exit[old], p_old=base.sum_p[old],
+            n_old=base.members[old], q_new=base.exit[new],
+            p_new=base.sum_p[new], n_new=base.members[new],
+            clamp=True, **col,
+        )
+        bulk = base.copy()
+        bulk.apply_plan(plan, 0, len(movers))
+        assert (base.members[old] == 1).any() and (base.members[old] > 1).any()
+        for name in ("exit", "sum_p", "members"):
+            assert getattr(bulk, name).tobytes() == getattr(one, name).tobytes()
+        assert np.float64(bulk.sum_exit).tobytes() == (
+            np.float64(one.sum_exit).tobytes()
+        )
 
     def test_same_module_move_is_zero(self, setup):
         _g, net, membership, stats = setup

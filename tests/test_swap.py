@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FlowNetwork, ModuleInfo, ModuleStats
+from repro.core.mapequation import RunPlan
 from repro.core.swap import LocalModuleState
 from repro.graph import ring_of_cliques
 from repro.partition import delegate_partition, local_views_delegate
@@ -232,6 +233,52 @@ class TestApplyLocalMove:
         assert st.table_exit[gid] == pytest.approx(q0 - 0.02)
         assert st.table_exit[999_999] == pytest.approx(0.02 - 0.01)
         assert st.table_members[999_999] == 1
+
+    def test_run_matches_one_move_at_a_time(self, world):
+        # Moves with pairwise distinct modules, two into modules new to
+        # the table, committed as one plan and one at a time: bitwise
+        # the same table, memberships and exit sum.
+        _lg, _net, _dp, views, _states = world
+        v = views[0]
+        one, bulk = LocalModuleState(v), LocalModuleState(v)
+        for st in (one, bulk):
+            own = st.contribution()
+            st.rebuild_table(own, [])
+            st.sum_exit_global = own.total_exit()
+        rng = np.random.default_rng(3)
+        owned = rng.permutation(v.num_owned)
+        movers = owned[:4]
+        old = bulk.module_of[movers]
+        new = np.concatenate(
+            [bulk.module_of[owned[4:6]], [10**6, 10**6 + 1]]
+        )
+        assert len(set(old.tolist() + new.tolist())) == 8
+        p_u = rng.random(4) * 1e-2
+        x_u = rng.random(4) * 1e-2
+        d_old = np.zeros(4)
+        d_new = x_u * rng.random(4) * 0.5
+        snap = bulk.table_arrays()
+        so, sn = snap.slots(old), snap.slots(new)
+        (q_old, p_old), (q_new, p_new) = snap.at(so), snap.at(sn)
+        plan = RunPlan(
+            movers, old, new, q_old=q_old, p_old=p_old,
+            n_old=snap.members_at(so), q_new=q_new, p_new=p_new,
+            n_new=snap.members_at(sn, default=0), p_u=p_u, x_u=x_u,
+            d_old=d_old, d_new=d_new, slot_old=so, slot_new=sn,
+        )
+        bulk.apply_run(plan, 0, 4)
+        for j, li in enumerate(movers.tolist()):
+            one.apply_local_move(
+                li, int(new[j]), p_u=float(p_u[j]), x_u=float(x_u[j]),
+                d_old=float(d_old[j]), d_new=float(d_new[j]),
+            )
+        assert bulk.module_of.tobytes() == one.module_of.tobytes()
+        for st in (one, bulk):
+            st._table.compact()
+        for col in ("ids", "exit", "sum_p", "members"):
+            assert (getattr(bulk._table, col).tobytes()
+                    == getattr(one._table, col).tobytes()), col
+        assert bulk.sum_exit_global == one.sum_exit_global
 
     def test_noop_move_ignored(self, world):
         st = world[4][0]
