@@ -529,7 +529,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 columns=[
                     "batch", "insert", "delete", "reweight",
                     "dirty_vertices", "dirty_fraction", "split_modules",
-                    "codelength", "solve_seconds",
+                    "launched", "codelength", "solve_seconds",
                 ],
             )
         )
@@ -697,14 +697,14 @@ def _cmd_update(args: argparse.Namespace) -> int:
     nranks = args.ranks if args.method == "distributed" else 1
     live_plane = _live_start(args.method, nranks, "update") \
         if args.live else None
-    session = IncrementalSession.from_membership(
-        graph, membership, cfg, nranks=nranks, tracer=tracer,
-        live=live_plane,
-    )
-    cached_len = session.result.codelength
     ok = False
     try:
-        result = session.update(delta)
+        with IncrementalSession.from_membership(
+            graph, membership, cfg, nranks=nranks, tracer=tracer,
+            live=live_plane,
+        ) as session:
+            cached_len = session.result.codelength
+            result = session.update(delta)
         ok = True
     finally:
         if live_plane is not None:

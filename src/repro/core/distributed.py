@@ -34,6 +34,8 @@ time for the scalability figures.
 
 from __future__ import annotations
 
+import copy
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -45,6 +47,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from ..graph.builder import from_edge_array
+from ..graph.delta import GraphDelta, apply_delta
 from ..graph.graph import Graph
 from ..obs.log import get_logger
 from ..obs.rss import current_rss_bytes, peak_rss_bytes
@@ -52,10 +55,11 @@ from ..partition.delegates import delegate_partition
 from ..partition.distgraph import LocalGraph, build_local_graphs, local_views_1d
 from ..partition.oned import OneDPartition
 from ..partition.rebalance import maybe_rebalance
+from ..partition.repair import repair_local_view, sum_repair_stats
 from ..partition.shard import load_shard
 from ..simmpi.comm import Communicator
 from ..simmpi.costmodel import MachineModel
-from ..simmpi.engine import run_spmd
+from ..simmpi.engine import SpmdJob, run_spmd
 from ..simmpi.requests import Request
 from .config import InfomapConfig
 from .flow import FlowNetwork
@@ -1398,15 +1402,17 @@ def _rank_program(
     *,
     views: "list[LocalGraph] | None" = None,
     shard: "tuple[str, Any] | None" = None,
+    lg: "LocalGraph | None" = None,
     seed_membership: "np.ndarray | None" = None,
     active_seed: "np.ndarray | None" = None,
 ) -> dict[str, Any]:
     """Both clustering stages on one rank.
 
-    The rank's stage-1 local graph is ``views[comm.rank]``, carved out
-    by the driver, or — with ``shard=(store_dir, plan)`` — built from
-    this rank's shard of an on-disk CSR store (:func:`_load_shard`);
-    the output then carries the load stats under ``"ingest"``.
+    The rank's stage-1 local graph is *lg*, or ``views[comm.rank]``,
+    carved out by the driver, or — with ``shard=(store_dir, plan)`` —
+    built from this rank's shard of an on-disk CSR store
+    (:func:`_load_shard`); the output then carries the load stats under
+    ``"ingest"``.
 
     A warm start passes *seed_membership*: stage 1 then starts from the
     cached (relabeled) membership instead of all-singletons and, when an
@@ -1417,7 +1423,7 @@ def _rank_program(
     ingest = None
     if shard is not None:
         lg, ingest = _load_shard(comm, *shard)
-    else:
+    elif lg is None:
         lg = views[comm.rank]
     buf = comm.trace
     timer = PhaseTimer(comm, trace=buf)
@@ -1548,6 +1554,52 @@ def _rank_program(
     return out
 
 
+def _warm_rank_program(
+    comm: Communicator,
+    cfg: InfomapConfig,
+    n0: int,
+    *,
+    seed_membership: np.ndarray,
+    active_seed: "np.ndarray | None",
+    graph: "Graph | None" = None,
+    delta: "GraphDelta | None" = None,
+) -> dict[str, Any]:
+    """A warm solve on a rank that keeps its view between calls.
+
+    With *graph* (the first call of a job), the rank builds its own 1D
+    round-robin view of it; with *delta* (a later call), it applies the
+    batch to the graph replica it kept and splices its view in place
+    (:func:`repro.partition.repair.repair_local_view`).  Either way the
+    rank keeps the graph and the view in ``comm.resident`` and then runs
+    :func:`_rank_program`.  The build or splice is charged to no
+    :class:`PhaseTimer` phase and exchanges no traffic; its seconds and
+    stats ride back under ``"splice"``.
+    """
+    keep = comm.resident
+    t0 = time.perf_counter()
+    if graph is not None:
+        part = OneDPartition.round_robin(n0, comm.size)
+        lg = local_views_1d(
+            FlowNetwork.from_graph(graph), part, rank=comm.rank
+        )[0]
+        stats = None
+    else:
+        part, lg = keep["part"], keep["view"]
+        graph = apply_delta(keep["graph"], delta)
+        stats = repair_local_view(lg, graph, delta, part)
+    keep.update(graph=graph, part=part, view=lg)
+    seconds = time.perf_counter() - t0
+    out = _rank_program(
+        comm, cfg, n0,
+        # A mid-run migration rewrites the view it is given; the kept
+        # one must stay the 1D view the next splice expects.
+        lg=copy.deepcopy(lg) if cfg.dynamic_rebalance else lg,
+        seed_membership=seed_membership, active_seed=active_seed,
+    )
+    out["splice"] = {"seconds": seconds, "stats": stats}
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Public drivers
 # ---------------------------------------------------------------------------
@@ -1560,28 +1612,80 @@ def _launch(
     tracer: Any,
     live: Any,
     backend: "str | None",
+    job: "SpmdJob | None" = None,
+    program: Any = _rank_program,
     **kwargs: Any,
 ) -> Any:
-    """Run :func:`_rank_program` as ``_rank_program(comm, cfg=..., **kwargs)``.
+    """Run *program* as ``program(comm, cfg=..., **kwargs)``.
 
-    The *tracer*, *live* and *backend* arguments override the config's
-    own.  The shipped config never carries the tracer or live plane:
-    ranks reach their buffers through the communicator (the engine
-    attaches them), and a Tracer holds a threading.Lock that cannot
-    cross the process-backend boundary.
+    One-shot through :func:`run_spmd`, or as the next call of a
+    resident *job* (whose ranks, backend and live plane are fixed at its
+    launch).  The *tracer*, *live* and *backend* arguments override the
+    config's own.  The shipped config never carries the tracer or live
+    plane: ranks reach their buffers through the communicator (the
+    engine attaches them), and a Tracer holds a threading.Lock that
+    cannot cross the process-backend boundary.
     """
     ship_cfg = (
         cfg.with_(tracer=None, live=None)
         if (cfg.tracer is not None or cfg.live is not None) else cfg
     )
+    fn_kwargs = {"cfg": ship_cfg, **kwargs}
+    tracer = tracer if tracer is not None else cfg.tracer
+    if job is not None:
+        return job.call(
+            program, fn_kwargs=fn_kwargs, tracer=tracer, timeout=timeout
+        )
     return run_spmd(
-        _rank_program,
+        program,
         nranks,
-        fn_kwargs={"cfg": ship_cfg, **kwargs},
+        fn_kwargs=fn_kwargs,
         timeout=timeout,
-        tracer=tracer if tracer is not None else cfg.tracer,
+        tracer=tracer,
         live=live if live is not None else cfg.live,
         backend=backend if backend is not None else cfg.backend,
+    )
+
+
+def _warm_solve(
+    nranks: int,
+    cfg: InfomapConfig,
+    seed_membership: np.ndarray,
+    active: "np.ndarray | None",
+    *,
+    graph: "Graph | None" = None,
+    delta: "GraphDelta | None" = None,
+    job: "SpmdJob | None" = None,
+    machine: "MachineModel | None" = None,
+    timeout: float = 600.0,
+    tracer: Any = None,
+    live: Any = None,
+    backend: "str | None" = None,
+) -> ClusteringResult:
+    """Warm solve via :func:`_warm_rank_program`: one-shot on *graph*,
+    or as a call of a resident *job* (its first call passes *graph*,
+    later ones the *delta* the ranks apply to their replicas).
+
+    The result's extras add ``splice_seconds_max`` (the slowest rank's
+    view build or splice) and ``splice`` (the ranks' summed repair
+    stats; ``None`` when the views were built).
+    """
+    n = seed_membership.size
+    res = _launch(
+        nranks, cfg, job=job, program=_warm_rank_program, n0=n,
+        graph=graph, delta=delta, seed_membership=seed_membership,
+        active_seed=active, timeout=timeout, tracer=tracer, live=live,
+        backend=backend,
+    )
+    splices = [out["splice"] for out in res.results]
+    return _assemble_result(
+        res, n, nranks, machine,
+        head_extras={"d_high": None, "num_hubs": 0, "warm_start": True},
+        tail_extras={
+            "splice_seconds_max": max(sp["seconds"] for sp in splices),
+            "splice": None if splices[0]["stats"] is None
+            else sum_repair_stats([sp["stats"] for sp in splices]),
+        },
     )
 
 
@@ -1592,7 +1696,6 @@ def distributed_infomap(
     *,
     seed_membership: "np.ndarray | None" = None,
     active: "np.ndarray | None" = None,
-    views: "list[LocalGraph] | None" = None,
     machine: MachineModel | None = None,
     timeout: float = 600.0,
     tracer: Any = None,
@@ -1613,10 +1716,10 @@ def distributed_infomap(
     neighbour or their module changes, so a converged region costs
     nothing.  Partitioning is then plain 1D round-robin with no
     delegates: a warm start exists to avoid O(graph) work, and the
-    delegate planner is itself an O(graph) pass.  Pass pre-repaired
-    *views* (see :func:`repro.partition.repair.repair_local_views`) to
-    skip even the view build; they must be 1D round-robin views of
-    *graph* for *nranks* ranks.  *active* and *views* need a seed.
+    delegate planner is itself an O(graph) pass; each rank builds its
+    own view.  *active* needs a seed.  (An
+    :class:`~repro.core.incremental.IncrementalSession` keeps the views
+    in resident ranks across batches instead.)
 
     With a :class:`~repro.obs.trace.Tracer` (argument or
     ``config.tracer``) every rank records phase spans, per-round
@@ -1640,8 +1743,8 @@ def distributed_infomap(
         raise ValueError("cannot cluster a graph with no edges")
     n = graph.num_vertices
     if seed_membership is None:
-        if active is not None or views is not None:
-            raise ValueError("active and views need seed_membership")
+        if active is not None:
+            raise ValueError("active needs seed_membership")
         mean_degree = graph.nnz / max(n, 1)
         dpart = delegate_partition(
             graph,
@@ -1656,33 +1759,30 @@ def distributed_infomap(
             is_hub=dpart.is_hub,
             nranks=nranks,
         )
-        head_extras = {"d_high": dpart.d_high, "num_hubs": dpart.num_hubs}
-    else:
-        seed_membership = np.asarray(seed_membership, dtype=np.int64)
-        if seed_membership.shape != (n,):
+        res = _launch(
+            nranks, cfg, n0=n, views=views,
+            timeout=timeout, tracer=tracer, live=live, backend=backend,
+        )
+        return _assemble_result(
+            res, n, nranks, machine,
+            head_extras={"d_high": dpart.d_high, "num_hubs": dpart.num_hubs},
+        )
+    seed_membership = np.asarray(seed_membership, dtype=np.int64)
+    if seed_membership.shape != (n,):
+        raise ValueError(
+            f"seed_membership must have shape ({n},), "
+            f"got {seed_membership.shape}"
+        )
+    if active is not None:
+        active = np.asarray(active, dtype=bool)
+        if active.shape != (n,):
             raise ValueError(
-                f"seed_membership must have shape ({n},), "
-                f"got {seed_membership.shape}"
+                f"active must have shape ({n},), got {active.shape}"
             )
-        if active is not None:
-            active = np.asarray(active, dtype=bool)
-            if active.shape != (n,):
-                raise ValueError(
-                    f"active must have shape ({n},), got {active.shape}"
-                )
-        if views is None:
-            views = local_views_1d(
-                FlowNetwork.from_graph(graph),
-                OneDPartition.round_robin(n, nranks),
-            )
-        head_extras = {"d_high": None, "num_hubs": 0, "warm_start": True}
-
-    res = _launch(
-        nranks, cfg, n0=n, views=views,
-        seed_membership=seed_membership, active_seed=active,
+    return _warm_solve(
+        nranks, cfg, seed_membership, active, graph=graph, machine=machine,
         timeout=timeout, tracer=tracer, live=live, backend=backend,
     )
-    return _assemble_result(res, n, nranks, machine, head_extras=head_extras)
 
 
 def _assemble_result(

@@ -24,9 +24,11 @@ batch; this module makes each batch cost O(changed region) instead:
    ``benchmarks/test_incremental_speedup.py`` guards with work
    counters).  A non-empty frontier always reaches the coarse levels,
    whose edge weights the delta changed, even when level 0 commits no
-   move.  Distributed sessions keep their per-rank views alive across
-   batches and splice them in place
-   (:func:`repro.partition.repair.repair_local_views`).
+   move.  A distributed session keeps one resident SPMD job
+   (:class:`repro.simmpi.engine.SpmdJob`) from its first update to
+   :meth:`IncrementalSession.close`: each rank keeps a graph replica
+   and its own view, applies each batch to both in place
+   (:func:`repro.partition.repair.repair_local_view`), and re-solves.
 
 Quality is anchored by a full-re-solve oracle: the incremental
 codelength must match a cold solve of the post-delta graph to 1e-9
@@ -43,8 +45,9 @@ import numpy as np
 from ..graph.delta import GraphDelta, apply_delta, dirty_region
 from ..graph.graph import Graph, gather_rows
 from ..obs.live import NULL_LIVE
+from ..simmpi.engine import SpmdJob
 from .config import InfomapConfig
-from .distributed import distributed_infomap
+from .distributed import _warm_solve, distributed_infomap
 from .flow import FlowNetwork
 from .result import ClusteringResult
 from .sequential import sequential_infomap
@@ -125,18 +128,23 @@ class IncrementalSession:
 
     Example::
 
-        session = IncrementalSession(graph, config)
-        session.solve()                  # cold baseline
-        for batch in stream:
-            result = session.update(batch)   # O(changed region)
+        with IncrementalSession(graph, config, nranks=4) as session:
+            session.solve()                      # cold baseline
+            for batch in stream:
+                result = session.update(batch)   # O(changed region)
 
     Args:
         graph: the base snapshot.
         config: solver knobs; ``warm_dirty_hops`` sets the warm
             start's dirty region.
         nranks: 1 (default) runs the sequential solver; more ranks run
-            the distributed solver, whose per-rank views persist across
-            batches and are spliced in place per delta.
+            the distributed solver.  Its first update launches one
+            resident rank job that serves every later update: the
+            driver sends each rank the delta, the warm seed and the
+            active mask, and each rank splices the view it keeps.
+            :meth:`close` (or leaving a ``with`` block, or dropping the
+            session) stops the ranks; a failed update ends the job, and
+            the next update launches a fresh one from :attr:`graph`.
         backend: SPMD backend override for distributed sessions.
         tracer: optional :class:`~repro.obs.trace.Tracer`; each batch
             emits a ``delta`` instant (rank 0) that
@@ -153,12 +161,18 @@ class IncrementalSession:
         graph: the current (post-delta) snapshot.
         result: the current :class:`ClusteringResult`.
         events: one dict per absorbed batch — delta counts, dirty-region
-            size, number of split modules, repair stats, solver work
-            counters, phase seconds.
+            size, number of split modules, ``launched`` (this update
+            started the rank job), repair stats (summed over ranks) and
+            seconds (the slowest rank's view build or splice), solver
+            work counters, phase seconds.
 
     Vertex growth is not incremental: a delta referencing ids beyond
     the current graph raises — grow via a new session / cold solve.
     """
+
+    #: Watchdog budget of one distributed update, in seconds; exceeded
+    #: ⇒ :class:`~repro.simmpi.errors.DeadlockError` and the job ends.
+    timeout = 600.0
 
     def __init__(
         self,
@@ -181,8 +195,7 @@ class IncrementalSession:
         self.result: ClusteringResult | None = None
         self.events: list[dict[str, Any]] = []
         self.num_updates = 0
-        self._part: Any = None
-        self._views: Any = None
+        self._job: SpmdJob | None = None
 
     @classmethod
     def from_membership(
@@ -264,6 +277,7 @@ class IncrementalSession:
 
         repair_stats: dict[str, Any] | None = None
         work: dict[str, int] = {}
+        launched = False
         t1 = time.perf_counter()
         if self.nranks == 1:
             t_repair = 0.0
@@ -277,30 +291,29 @@ class IncrementalSession:
                 work=work,
             )
         else:
-            from ..partition.distgraph import local_views_1d
-            from ..partition.oned import OneDPartition
-            from ..partition.repair import repair_local_views
-
-            net = FlowNetwork.from_graph(patched)
-            if self._views is None:
-                self._part = OneDPartition.round_robin(n, self.nranks)
-                self._views = local_views_1d(net, self._part)
-            else:
-                repair_stats = repair_local_views(
-                    self._views, patched, delta, self._part, network=net
+            launched = self._job is None
+            if launched:
+                self._job = SpmdJob(
+                    self.nranks,
+                    backend=self.backend or cfg.backend,
+                    live=self.live if self.live is not None else cfg.live,
                 )
-            t_repair = time.perf_counter() - t1
-            res = distributed_infomap(
-                patched,
-                self.nranks,
-                cfg,
-                seed_membership=seed,
-                active=active,
-                views=self._views,
-                tracer=self.tracer,
-                live=self.live,
-                backend=self.backend,
-            )
+            try:
+                # A new job's ranks inherit the patched graph and build
+                # their views; a running job's ranks patch their own.
+                res = _warm_solve(
+                    self.nranks, cfg, seed, active,
+                    graph=patched if launched else None,
+                    delta=None if launched else delta,
+                    job=self._job, timeout=self.timeout, tracer=self.tracer,
+                )
+            except BaseException:
+                # A failed call has already ended the job; the next
+                # update relaunches from the unchanged self.graph.
+                self.close()
+                raise
+            t_repair = res.extras["splice_seconds_max"]
+            repair_stats = res.extras["splice"]
             work = {
                 "stage1_work_max": res.extras["stage1_work_max"],
                 "total_work_max": res.extras["total_work_max"],
@@ -317,6 +330,7 @@ class IncrementalSession:
             "dirty_vertices": int(dirty.sum()),
             "dirty_fraction": float(dirty.mean()) if n else 0.0,
             "split_modules": num_split,
+            "launched": launched,
             "codelength": float(res.codelength),
             "converged": bool(res.converged),
             "apply_seconds": t_apply,
@@ -343,3 +357,21 @@ class IncrementalSession:
                 },
             )
         return res
+
+    # -- lifecycle ----------------------------------------------------------
+    def close(self) -> None:
+        """Stop the session's rank job, if one runs (idempotent).
+
+        The ranks are joined and every shared segment is unlinked.  A
+        later :meth:`update` launches a fresh job.  A session dropped
+        without ``close()`` is cleaned up when it is garbage-collected.
+        """
+        job, self._job = self._job, None
+        if job is not None:
+            job.close()
+
+    def __enter__(self) -> "IncrementalSession":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()

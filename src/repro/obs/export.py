@@ -151,6 +151,7 @@ def delta_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
                 "dirty_vertices": args.get("dirty_vertices"),
                 "dirty_fraction": args.get("dirty_fraction"),
                 "split_modules": args.get("split_modules"),
+                "launched": args.get("launched"),
                 "codelength": args.get("codelength"),
                 "solve_seconds": args.get("solve_seconds"),
             }

@@ -28,6 +28,15 @@ from .oned import OneDPartition
 __all__ = ["LocalGraph", "build_local_graphs", "local_views_1d", "local_views_delegate"]
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by sort and neighbour compare: numpy's hashed
+    unique is several times slower on the id arrays the views use."""
+    s = np.sort(a)
+    if s.size > 1:
+        s = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    return s
+
+
 @dataclass
 class LocalGraph:
     """One rank's subgraph in local index space.
@@ -187,26 +196,28 @@ def build_local_graphs(
     hubs = np.flatnonzero(is_hub)
     exit0_all = network.node_exit_flow()
 
-    # Group stored entries by (rank, source) once, globally.
-    order = np.lexsort((rows, entry_rank))
+    # Group stored entries by (rank, source) once, globally; rows are
+    # already ascending, so a stable sort by rank is that grouping.
+    order = np.argsort(entry_rank, kind="stable")
     e_rank = entry_rank[order]
     e_src = rows[order]
     e_dst = g.indices[order]
     e_flow = g.weights[order]
     rank_bounds = np.searchsorted(e_rank, np.arange(nranks + 1))
 
-    # Which ranks ghost each vertex (for boundary bookkeeping).
+    # Which ranks ghost each vertex (for boundary bookkeeping): one
+    # (vertex, ghosting rank) pair per ghost, grouped by the owner.
     ghost_sets: list[np.ndarray] = []
     for r in range(nranks):
         lo, hi = rank_bounds[r], rank_bounds[r + 1]
         dsts = e_dst[lo:hi]
         mask = ~is_hub[dsts] & (owner[dsts] != r)
-        ghost_sets.append(np.unique(dsts[mask]))
-
-    ghosted_by: dict[int, list[int]] = {}
-    for r, gs in enumerate(ghost_sets):
-        for v in gs:
-            ghosted_by.setdefault(int(v), []).append(r)
+        ghost_sets.append(sorted_unique(dsts[mask]))
+    ghost_v = np.concatenate(ghost_sets)
+    ghost_r = np.repeat(
+        np.arange(nranks, dtype=np.int64), [gs.size for gs in ghost_sets]
+    )
+    ghost_home = owner[ghost_v]
 
     locals_: list[LocalGraph] = []
     for r in range(nranks) if rank is None else (rank,):
@@ -236,17 +247,23 @@ def build_local_graphs(
         np.add.at(indptr, src_sorted + 1, 1)
         np.cumsum(indptr, out=indptr)
 
-        boundary = [v for v in owned if int(v) in ghosted_by]
-        boundary_local = local_of[np.asarray(boundary, dtype=np.int64)] if boundary \
-            else np.empty(0, dtype=np.int64)
+        # Pairs are unique, so sorting by (vertex, rank) lists each
+        # boundary vertex once, with its ghosting ranks ascending.
+        mine = ghost_home == r
+        bv, bvr = ghost_v[mine], ghost_r[mine]
+        order = np.lexsort((bvr, bv))
+        bv, bvr = bv[order], bvr[order]
+        starts = np.flatnonzero(np.diff(bv, prepend=-1))
+        boundary = bv[starts]
+        boundary_local = local_of[boundary].astype(np.int64)
+        ends = np.append(starts[1:], bvr.size).tolist()
         boundary_ranks = [
-            np.asarray(ghosted_by[int(v)], dtype=np.int64) for v in boundary
+            bvr[a:b] for a, b in zip(starts.tolist(), ends)
         ]
-        nbr_ranks = set()
-        for br in boundary_ranks:
-            nbr_ranks.update(int(x) for x in br)
-        nbr_ranks.update(int(owner[gv]) for gv in ghosts)
-        nbr_ranks.discard(r)
+        nbr_ranks = np.flatnonzero(
+            np.bincount(bvr, minlength=nranks)
+            + np.bincount(owner[ghosts], minlength=nranks)
+        )
 
         locals_.append(
             LocalGraph(
@@ -265,7 +282,7 @@ def build_local_graphs(
                 ghost_owner=owner[ghosts].astype(np.int64),
                 boundary_local=boundary_local,
                 boundary_ranks=boundary_ranks,
-                neighbor_ranks=np.asarray(sorted(nbr_ranks), dtype=np.int64),
+                neighbor_ranks=nbr_ranks[nbr_ranks != r],
             )
         )
     return locals_

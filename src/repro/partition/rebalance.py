@@ -77,6 +77,7 @@ import numpy as np
 
 from ..obs.live import PHASE_REBALANCE
 from .distgraph import LocalGraph
+from .repair import _recompute_neighbor_ranks
 
 __all__ = ["RebalanceOutcome", "maybe_rebalance"]
 
@@ -732,11 +733,3 @@ def _apply_registrations(lg: LocalGraph, state: Any, recv: dict) -> None:
     lg.invalidate_boundary_groups()
     # Positions shifted: force a full membership re-send next round.
     state._synced_boundary = None
-
-
-def _recompute_neighbor_ranks(lg: LocalGraph, rank: int) -> None:
-    nr = set(lg.ghost_owner.tolist())
-    for arr in lg.boundary_ranks:
-        nr.update(arr.tolist())
-    nr.discard(rank)
-    lg.neighbor_ranks = np.asarray(sorted(nr), dtype=np.int64)

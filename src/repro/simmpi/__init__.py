@@ -26,7 +26,7 @@ Design notes are in each module; the porting seam to real mpi4py is the
 
 from .comm import ANY_SOURCE, ANY_TAG, Communicator, Request, resolve_op
 from .costmodel import CostAccumulator, MachineModel, StepCost, ledger_comm_time
-from .engine import BACKENDS, SpmdResult, run_spmd
+from .engine import BACKENDS, SpmdJob, SpmdResult, run_spmd
 from .procs import ProcCommunicator, run_spmd_procs
 from .errors import (
     AbortError,
@@ -73,6 +73,7 @@ __all__ = [
     "RequestSet",
     "SerialCommunicator",
     "SimMpiError",
+    "SpmdJob",
     "SpmdResult",
     "StepCost",
     "ThreadCommunicator",

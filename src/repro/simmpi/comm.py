@@ -134,6 +134,23 @@ class Communicator(ABC):
         lv = self.stats.live
         return lv if lv is not None else NULL_LIVE
 
+    @property
+    def resident(self) -> dict[str, Any]:
+        """Rank-private state that outlives one call (simulation-only).
+
+        A resident job (:class:`~repro.simmpi.engine.SpmdJob`) binds the
+        same dict to this rank on every call it runs, so a program can
+        keep what it built — a local graph view, a CSR replica — for the
+        next call; a one-shot :func:`~repro.simmpi.engine.run_spmd` sees
+        an empty dict.  In a real-MPI port this is the long-lived rank
+        process's own memory between commands.
+        """
+        try:
+            return self._resident
+        except AttributeError:
+            self._resident: dict[str, Any] = {}
+            return self._resident
+
     # -- point to point ----------------------------------------------------
     @abstractmethod
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:

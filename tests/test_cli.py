@@ -91,6 +91,29 @@ class TestTraceAndInspect:
         }
         assert tids == {0, 1}  # one track per rank
 
+    def test_update_trace_then_inspect_deltas(self, tmp_path, capsys):
+        from repro.obs import delta_rows, load_run_artifact
+
+        path = tmp_path / "g.txt"
+        write_edgelist(ring_of_cliques(6, 5).graph, path)
+        part = tmp_path / "part.tsv"
+        assert main(["cluster", "--input", str(path), "-o",
+                     str(part)]) == 0
+        delta = tmp_path / "d.delta"
+        delta.write_text("+ 0 10\n")
+        trace_path = tmp_path / "update.json"
+        rc = main(["update", "--input", str(path), "--partition", str(part),
+                   "--delta", str(delta), "--method", "distributed",
+                   "--ranks", "2", "--trace", str(trace_path)])
+        assert rc == 0
+        rows = delta_rows(load_run_artifact(trace_path)["events"])
+        assert [(r["batch"], r["launched"]) for r in rows] == [(1, True)]
+        capsys.readouterr()
+        assert main(["inspect", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "incremental delta batches" in out
+        assert "launched" in out
+
     def test_trace_on_sequential(self, tmp_path, capsys):
         trace_path = tmp_path / "seq.json"
         rc = main([
