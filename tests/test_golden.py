@@ -180,11 +180,6 @@ DIST_CASES = {
         for flag in ("delta_swap", "full_module_info", "prune_inactive",
                      "overlap", "min_label")
     },
-    "powerlaw-400-8-s5/rebalance/p=4": lambda: distributed_infomap(
-        powerlaw_planted_partition(400, 8, mu=0.25, seed=5).graph, 4,
-        InfomapConfig(seed=7, dynamic_rebalance=True,
-                      rebalance_threshold=1.0, rebalance_interval=1),
-    ),
     **{
         f"cliques-8-6/batch_size={bs}/p=4": (
             lambda bs=bs: distributed_infomap(
