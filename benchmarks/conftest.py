@@ -25,8 +25,8 @@ def pytest_collection_modifyitems(config, items):
     """Skip throughput/observability guards unless ``--run-bench``.
 
     The guards (wire round throughput, swap-cycle rounds/sec, tracing
-    overhead, live overhead, procs scaling, rebalance skew, ingest
-    scale, incremental warm-start, nonblocking overlap) take tens of
+    overhead, live overhead, procs scaling, ingest scale, incremental
+    warm-start, nonblocking overlap) take tens of
     seconds and measure wall-clock numbers, so they don't belong in the
     default tier-1 sweep;
     ``pytest benchmarks/ --run-bench`` opts in.
@@ -35,8 +35,8 @@ def pytest_collection_modifyitems(config, items):
         return
     skip = pytest.mark.skip(reason="needs --run-bench")
     guards = (
-        "throughput_guard", "obs_guard", "procs_guard", "rebalance_guard",
-        "ingest_guard", "incremental_guard", "live_guard", "overlap_guard",
+        "throughput_guard", "obs_guard", "procs_guard", "ingest_guard",
+        "incremental_guard", "live_guard", "overlap_guard",
     )
     for item in items:
         if any(g in item.keywords for g in guards):

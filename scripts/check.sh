@@ -14,8 +14,7 @@
 # ``--run-bench`` guard (wire round throughput, recorded with no
 # floor and checked against its payload schedule; swap cycle, tracing
 # overhead, live-telemetry overhead/fidelity, procs-vs-threads
-# scaling, rebalance skew/quality, out-of-core ingest
-# parse/build/RSS, incremental warm-start
+# scaling, out-of-core ingest parse/build/RSS, incremental warm-start
 # work/quality, nonblocking-overlap wait/throughput) with
 # ``REPRO_BENCH_SMOKE=1`` so
 # the whole gate finishes in a few minutes; the procs guard's

@@ -127,19 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--batch-size", type=int, default=None,
                     help="move-kernel block size (0 = scalar sweep)")
     pc.add_argument(
-        "--rebalance", action="store_true",
-        help="enable the mid-run work-stealing repartitioner "
-             "(distributed only; migrates boundary vertices off "
-             "straggler ranks when edge-scan skew exceeds the "
-             "threshold)",
-    )
-    pc.add_argument(
-        "--rebalance-threshold", type=float, default=None,
-        metavar="X",
-        help="max/mean work skew that triggers a migration "
-             "(default: 1.25; implies nothing unless --rebalance)",
-    )
-    pc.add_argument(
         "--ooc", action="store_true",
         help="out-of-core partition-then-load: each rank memory-maps "
              "only its contiguous shard of the CSR store instead of "
@@ -358,10 +345,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     }
     if args.batch_size is not None:
         cfg_kwargs["batch_size"] = args.batch_size
-    if args.rebalance:
-        cfg_kwargs["dynamic_rebalance"] = True
-    if args.rebalance_threshold is not None:
-        cfg_kwargs["rebalance_threshold"] = args.rebalance_threshold
     cfg = InfomapConfig(**cfg_kwargs)
 
     nranks = 1 if args.method == "sequential" else args.ranks
@@ -436,7 +419,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         counter_final_values,
         delta_rows,
         load_run_artifact,
-        rebalance_rows,
         span_seconds_by_rank,
         write_chrome_trace,
     )
@@ -503,20 +485,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             )
         )
 
-    # Mid-run migrations (dynamic repartitioner instants).
-    migrations = rebalance_rows(events)
-    if migrations:
-        print()
-        print(
-            render_table(
-                migrations,
-                title="rebalance migrations by (level, round)",
-                columns=[
-                    "level", "round", "donor", "receiver",
-                    "vertices", "entries", "skew",
-                ],
-            )
-        )
 
     # Incremental delta batches (warm-start session instants).
     deltas = delta_rows(events)

@@ -7,7 +7,7 @@ full-module-info swap), an ablation DESIGN.md calls out, or a setting
 a benchmark or the CLI varies.  Fixed guards no run varies are module
 constants beside their readers: ``sequential.MAX_SWEEPS``,
 ``moves.MIN_IMPROVEMENT``, ``distributed.TIE_EPS`` and
-``distributed.MIN_VERTICES_PER_RANK``, ``rebalance.MAX_VERTICES`` and
+``distributed.MIN_VERTICES_PER_RANK`` and
 ``shard.DEFAULT_CHUNK_ENTRIES``.
 """
 
@@ -37,22 +37,8 @@ class InfomapConfig:
         d_high: delegate degree threshold; ``None`` uses the paper's
             default ``d_high = p`` (the rank count).
         rebalance: apply §3.3 step 4 (re-place hub edges onto
-            underloaded ranks).  This is the *static* partition-time
-            rebalance; see ``dynamic_rebalance`` for the mid-run one.
-        dynamic_rebalance: enable the trace-informed mid-run
-            repartitioner (:mod:`repro.partition.rebalance`): every
-            ``rebalance_interval`` rounds the ranks compare per-phase
-            edge-scan work counters and, when the max/mean skew exceeds
-            ``rebalance_threshold``, the most loaded rank migrates
-            boundary vertices (CSR rows, flow, membership, ghost
-            registrations) to the least loaded rank.  Off by default —
-            the disabled path adds no collectives, so runs are
-            bitwise-identical to a build without the feature.
-        rebalance_threshold: max/mean work-skew ratio that triggers a
-            migration (must be >= 1; 1.0 rebalances on any skew).
-        rebalance_interval: check the skew every this many move/swap
-            rounds within a level.  Each event migrates at most
-            ``rebalance.MAX_VERTICES`` vertices.
+            underloaded ranks).  This partition-time step is the only
+            rebalancing: the layout stays fixed through the rounds.
         min_label: apply the min-label anti-bouncing rule to boundary
             moves (§3.4): candidates within ``distributed.TIE_EPS`` of
             the best tie toward the smallest id.  Turning it off is the
@@ -172,9 +158,6 @@ class InfomapConfig:
 
     d_high: int | None = None
     rebalance: bool = True
-    dynamic_rebalance: bool = False
-    rebalance_threshold: float = 1.25
-    rebalance_interval: int = 2
     min_label: bool = True
     full_module_info: bool = True
     move_rule: str = "map_equation"
@@ -199,13 +182,6 @@ class InfomapConfig:
             raise ValueError(f"d_high must be >= 1 or None, got {self.d_high}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.rebalance_threshold < 1.0:
-            raise ValueError(
-                f"rebalance_threshold must be >= 1.0, "
-                f"got {self.rebalance_threshold}"
-            )
-        if self.rebalance_interval < 1:
-            raise ValueError("rebalance_interval must be >= 1")
         if self.round_threshold_rel < 0:
             raise ValueError("round_threshold_rel must be >= 0")
         if self.batch_size < 0:

@@ -34,7 +34,6 @@ time for the scalability figures.
 
 from __future__ import annotations
 
-import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ from ..obs.rss import current_rss_bytes, peak_rss_bytes
 from ..partition.delegates import delegate_partition
 from ..partition.distgraph import LocalGraph, build_local_graphs, local_views_1d
 from ..partition.oned import OneDPartition
-from ..partition.rebalance import maybe_rebalance
 from ..partition.repair import repair_local_view, sum_repair_stats
 from ..partition.shard import load_shard
 from ..simmpi.comm import Communicator
@@ -444,10 +442,8 @@ def _build_level_caches(
 ) -> SimpleNamespace:
     """Derived per-level lookup structures over one local graph.
 
-    Everything here is a pure function of ``lg``/``state`` layout, so a
-    mid-level migration (see :mod:`repro.partition.rebalance`) can
-    rebuild the lot with one call; the cross-round caches that survive
-    a migration (delegate peer flows, hub dirty flags) live outside.
+    Everything here is a pure function of the ``lg``/``state`` layout,
+    which stays fixed for the whole level.
     """
     ghost_base = lg.num_owned + lg.num_hubs
     ghost_index = {
@@ -498,8 +494,8 @@ class _Level:
 
     :func:`_cluster_rounds` builds it, opens the module table with
     :meth:`open_table`, then calls the stage methods once per round in
-    Algorithm 2's order.  The layout fields change only through
-    :meth:`relayout`.
+    Algorithm 2's order.  The layout fields are derived once, from
+    ``lg`` and ``state``, and stay fixed for the whole level.
     """
 
     # Inputs.
@@ -529,8 +525,8 @@ class _Level:
     left_prev: dict[int, int] = field(init=False)
     left_now: dict[int, int] = field(init=False)
     # Cross-round caches.  The per-peer (hub*id_space + module) keys and
-    # flows — each peer's last-shipped delegate contributions, kept
-    # key-sorted — are keyed by global ids, so they survive a migration.
+    # flows: each peer's last-shipped delegate contributions, kept
+    # key-sorted.
     hub_dirty: np.ndarray = field(init=False)
     peer_keys: list[np.ndarray] = field(init=False)
     peer_flows: list[np.ndarray] = field(init=False)
@@ -540,12 +536,9 @@ class _Level:
     rounds: int = 0
     total_moves: int = 0
     total_swap_backs: int = 0
-    rebalance_events: list[dict[str, Any]] = field(default_factory=list)
-    # Convergence and rebalance bookkeeping.
+    # Convergence bookkeeping.
     best_l: float = field(init=False)
     stalled: int = 0
-    rebal_work_mark: float = field(init=False)
-    rebal_round_mark: int = 0
     # Per-round scratch, reset by begin_round.
     moved_local: list[int] = field(init=False)
     changed_mods: set[int] = field(init=False)
@@ -562,7 +555,11 @@ class _Level:
 
     def __post_init__(self) -> None:
         p = self.comm.size
-        self.relayout()
+        self.order = np.arange(self.lg.num_owned)
+        self.C = _build_level_caches(self.lg, self.state, p)
+        self.left_now = {}
+        self.boundary_mask = np.zeros(self.lg.num_owned, dtype=bool)
+        self.boundary_mask[self.lg.boundary_local] = True
         self.hub_dirty = np.ones(self.lg.num_hubs, dtype=bool)
         self.peer_keys = [np.empty(0, np.int64) for _ in range(p)]
         self.peer_flows = [np.empty(0) for _ in range(p)]
@@ -570,28 +567,6 @@ class _Level:
             self.cfg.batch_size > 0 and self.cfg.move_rule == "map_equation"
         )
         self.no_swap_back = self.cfg.move_rule == "map_equation"
-
-    def relayout(self, outcome: Any = None) -> None:
-        """Derive the layout fields from ``lg`` and ``state``.
-
-        With a migration *outcome* (:mod:`repro.partition.rebalance`),
-        adopt it first.  Bystander ranks keep their objects but the
-        migration repairs ``boundary_local`` in place, so the boundary
-        mask is refreshed on every outcome, structural or not.
-        """
-        structural = outcome is None or outcome.structural
-        if outcome is not None:
-            self.own = outcome.own
-            if structural:
-                self.lg = outcome.lg
-                self.state = outcome.state
-                self.active = outcome.active
-        if structural:
-            self.order = np.arange(self.lg.num_owned)
-            self.C = _build_level_caches(self.lg, self.state, self.comm.size)
-            self.left_now = {}
-        self.boundary_mask = np.zeros(self.lg.num_owned, dtype=bool)
-        self.boundary_mask[self.lg.boundary_local] = True
 
     def open_table(self, *, warm: bool) -> None:
         """Build the module table and the opening exit sum and codelength."""
@@ -616,7 +591,6 @@ class _Level:
         self.own = own
         self.history = [_exact_codelength(comm, own, self.node_term, timer)]
         self.best_l = self.history[0]
-        self.rebal_work_mark = timer.work.get(PHASE_FIND_BEST, 0.0)
 
     def summary(self, num_modules: int) -> dict[str, Any]:
         """The level's :class:`LevelRecord` fields past its sizes."""
@@ -1159,35 +1133,6 @@ class _Level:
         self.stalled += 1
         return self.stalled >= 3
 
-    def maybe_migrate(self) -> None:
-        """Stage 10: mid-level dynamic repartitioning (work stealing).
-
-        The skew probe and any migration are collective and decided
-        from allgathered work counters, so every rank takes the same
-        path.  Default-off: the disabled branch adds no collectives,
-        keeping runs bitwise-identical to a build without the feature.
-        """
-        cfg = self.cfg
-        if not (
-            cfg.dynamic_rebalance
-            and self.comm.size > 1
-            and self.rounds % cfg.rebalance_interval == 0
-        ):
-            return
-        work_now = self.timer.work.get(PHASE_FIND_BEST, 0.0)
-        outcome = maybe_rebalance(
-            self.comm, self.lg, self.state, cfg, self.timer, self.active,
-            work_window=work_now - self.rebal_work_mark,
-            rounds_window=self.rounds - self.rebal_round_mark,
-        )
-        self.rebal_work_mark = work_now
-        self.rebal_round_mark = self.rounds
-        if outcome is not None:
-            self.rebalance_events.append(
-                {**outcome.info, "round": self.rounds}
-            )
-            self.relayout(outcome)
-
 
 def _cluster_rounds(
     comm: Communicator,
@@ -1219,10 +1164,7 @@ def _cluster_rounds(
             it instead of all-ones.  Requires ``cfg.prune_inactive`` to
             keep contracting afterwards.
 
-    Returns the finished :class:`_Level`.  Its ``lg`` is the local
-    graph the level ended with — identical to the input unless a
-    mid-level migration rebuilt it; callers must index against it, not
-    the one they passed in.
+    Returns the finished :class:`_Level`.
     """
     state = LocalModuleState(lg)
     if seed_membership is not None:
@@ -1253,7 +1195,6 @@ def _cluster_rounds(
         moves = lv.record_round(exit_req, moves_req, hub_moves)
         if lv.converged(moves):
             break
-        lv.maybe_migrate()
     comm.trace.set_context(round=None)
     return lv
 
@@ -1431,7 +1372,8 @@ def _rank_program(
 
     # Constant node-codebook term, reduced from exactly-once vertex mass.
     with timer.phase(PHASE_OTHER):
-        local_nt = -float(plogp(lg.flow[_exactly_once(lg)]).sum())
+        mass = _exactly_once(lg)
+        local_nt = -float(plogp(lg.flow[mass]).sum())
     node_term = float(comm.allreduce(local_nt))
 
     records: list[dict[str, Any]] = []
@@ -1463,12 +1405,9 @@ def _rank_program(
     codelength_history = list(lv1.history)
     level_finals = [lv1.history[-1]]
     swap_backs = [lv1.total_swap_backs]
-    rebalance_events = [{**ev, "level": 0} for ev in lv1.rebalance_events]
 
-    # Stage-1 assignment of this rank's exactly-once vertices, indexed
-    # against the layout stage 1 ended with (a migration may rebuild it).
-    mass = _exactly_once(lv1.lg)
-    my_vertices = lv1.lg.global_of[mass]
+    # Stage-1 assignment of this rank's exactly-once vertices.
+    my_vertices = lg.global_of[mass]
     # Coarse index of each stage-1 module.
     coarse_of_stage1 = np.searchsorted(module_ids, lv1.state.module_of[mass])
 
@@ -1503,9 +1442,6 @@ def _rank_program(
                     comm, lg2, cfg, timer, node_term, rng,
                     with_delegates=False, id_space=cn,
                 )
-            rebalance_events.extend(
-                {**ev, "level": level} for ev in lv.rebalance_events
-            )
             codelength_history.extend(lv.history[1:])
             level_finals.append(lv.history[-1])
             swap_backs.append(lv.total_swap_backs)
@@ -1515,8 +1451,8 @@ def _rank_program(
             with timer.phase(PHASE_SWAP_BOUNDARY):
                 pieces = comm.allgather(
                     (
-                        lv.lg.global_of[: lv.lg.num_owned],
-                        lv.state.module_of[: lv.lg.num_owned],
+                        lg2.global_of[: lg2.num_owned],
+                        lv.state.module_of[: lg2.num_owned],
                     )
                 )
             with timer.phase(PHASE_OTHER):
@@ -1545,9 +1481,8 @@ def _rank_program(
         "timer": timer.snapshot(),
         "stage1_timer": stage1_timer,
         "stage1_rounds": lv1.rounds,
-        "num_entries_stage1": lv1.lg.num_entries,
-        "num_ghosts_stage1": lv1.lg.num_ghosts,
-        "rebalance_events": rebalance_events,
+        "num_entries_stage1": lg.num_entries,
+        "num_ghosts_stage1": lg.num_ghosts,
     }
     if ingest is not None:
         out["ingest"] = ingest
@@ -1590,10 +1525,7 @@ def _warm_rank_program(
     keep.update(graph=graph, part=part, view=lg)
     seconds = time.perf_counter() - t0
     out = _rank_program(
-        comm, cfg, n0,
-        # A mid-run migration rewrites the view it is given; the kept
-        # one must stay the 1D view the next splice expects.
-        lg=copy.deepcopy(lg) if cfg.dynamic_rebalance else lg,
+        comm, cfg, n0, lg=lg,
         seed_membership=seed_membership, active_seed=active_seed,
     )
     out["splice"] = {"seconds": seconds, "stats": stats}
@@ -1837,10 +1769,6 @@ def _assemble_result(
             "phase_seconds_max": phase_seconds,
             "phase_work_max": phase_work,
             "per_rank_timer": [out["timer"] for out in res.results],
-            "per_rank_stage1_timer": [
-                out["stage1_timer"] for out in res.results
-            ],
-            "rebalance_events": r0["rebalance_events"],
             "comm_snapshot": res.ledger.snapshot(),
             "total_comm_bytes": res.ledger.total_bytes,
             "max_rank_comm_bytes": res.ledger.max_rank_bytes,

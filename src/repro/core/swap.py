@@ -745,31 +745,12 @@ class LocalModuleState:
         self,
         own: Contribution,
         moved_hub_modules: "set[int] | None" = None,
-        *,
-        refresh_sent: bool = False,
-        dests: "list[int] | None" = None,
     ) -> "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
         """Like :meth:`prepare_swap` but only changed/new records.
 
         Returns per-destination column arrays
         ``(mod_ids, sum_pr, exit_pr, num_members)`` (no ``is_sent``
         column — replace semantics make it moot).
-
-        Args:
-            refresh_sent: also re-send every *changed* module to every
-                destination that ever received it, not just to
-                destinations whose boundary vertices currently sit in
-                it.  The normal rounds leave such caches consistently
-                stale (an estimate-quality concern only); the dynamic
-                repartitioner needs the stronger guarantee because a
-                migration moves mass between rank contributions without
-                moving it between modules, which would otherwise leave
-                the same mass counted from two senders at a receiver.
-            dests: explicit destination list overriding
-                ``lg.neighbor_ranks`` — the repartitioner must also
-                reach formerly-neighbouring ranks that still cache this
-                rank's contributions even though no boundary vertex
-                couples to them anymore.
         """
         lg = self.lg
         last = self._last_cols
@@ -801,10 +782,7 @@ class LocalModuleState:
         )
         bl_mods = self.module_of[lg.boundary_local]
         result: dict[int, tuple[np.ndarray, ...]] = {}
-        dest_list = (
-            dests if dests is not None else lg.neighbor_ranks.tolist()
-        )
-        for dest in dest_list:
+        for dest in lg.neighbor_ranks.tolist():
             sent = self._sent_to.get(dest, _EMPTY_I64)
             pos = groups.get(dest)
             dmods = bl_mods[pos] if pos is not None else _EMPTY_I64
@@ -812,12 +790,7 @@ class LocalModuleState:
                 vanished[np.isin(vanished, sent)] if vanished.size
                 else _EMPTY_I64
             )
-            refresh = (
-                changed[np.isin(changed, sent)]
-                if refresh_sent and changed.size and sent.size
-                else _EMPTY_I64
-            )
-            seq = np.concatenate([hub_arr, dmods, van, refresh])
+            seq = np.concatenate([hub_arr, dmods, van])
             if seq.size == 0:
                 continue
             _, first = np.unique(seq, return_index=True)

@@ -34,7 +34,6 @@ from ..obs.live import (
     PHASE_INGEST,
     PHASE_MEASUREMENT,
     PHASE_OTHER,
-    PHASE_REBALANCE,
     PHASE_SWAP_BOUNDARY,
 )
 from ..obs.trace import NULL_BUFFER
@@ -47,7 +46,6 @@ __all__ = [
     "PHASE_SWAP_BOUNDARY",
     "PHASE_OTHER",
     "PHASE_MEASUREMENT",
-    "PHASE_REBALANCE",
     "PHASE_INGEST",
     "PHASES",
 ]

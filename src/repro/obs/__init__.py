@@ -42,7 +42,6 @@ from .export import (
     delta_rows,
     load_run_artifact,
     phase_byte_totals,
-    rebalance_rows,
     span_seconds_by_rank,
     to_chrome_trace,
     write_chrome_trace,
@@ -104,7 +103,6 @@ __all__ = [
     "live_run_dir",
     "load_run_artifact",
     "phase_byte_totals",
-    "rebalance_rows",
     "span_seconds_by_rank",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -33,7 +33,6 @@ __all__ = [
     "write_chrome_trace",
     "convergence_rows",
     "delta_rows",
-    "rebalance_rows",
     "phase_byte_totals",
     "span_seconds_by_rank",
     "counter_final_values",
@@ -94,37 +93,6 @@ def convergence_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
             row["swap_backs"] += int(args.get("swap_backs", 0))
             row["exact_rescores"] += int(args.get("exact_rescores", 0))
             row["bulk_commits"] += int(args.get("bulk_commits", 0))
-            row["ranks"] += 1
-    return [rows[k] for k in sorted(rows)]
-
-
-def rebalance_rows(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Migration events from ``rebalance`` instants.
-
-    The dynamic repartitioner's skew check is collective, so every rank
-    emits one instant per migration with identical arguments; one row
-    per ``(level, round)`` keeps the first rank's values and counts the
-    reporting ranks (a consistency check — it should equal ``nranks``).
-    """
-    rows: dict[tuple[int, int], dict[str, Any]] = {}
-    for ev in events:
-        if ev.get("kind") != "instant" or ev.get("name") != "rebalance":
-            continue
-        args = ev.get("args", {})
-        key = (int(ev.get("level", 0)), int(ev.get("round", 0)))
-        row = rows.get(key)
-        if row is None:
-            rows[key] = {
-                "level": key[0],
-                "round": key[1],
-                "donor": args.get("donor"),
-                "receiver": args.get("receiver"),
-                "vertices": args.get("vertices"),
-                "entries": args.get("entries"),
-                "skew": args.get("skew"),
-                "ranks": 1,
-            }
-        else:
             row["ranks"] += 1
     return [rows[k] for k in sorted(rows)]
 

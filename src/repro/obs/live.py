@@ -58,7 +58,6 @@ __all__ = [
     "PHASE_SWAP_BOUNDARY",
     "PHASE_OTHER",
     "PHASE_MEASUREMENT",
-    "PHASE_REBALANCE",
     "PHASE_INGEST",
     "PHASE_NAMES",
     "PHASE_IDS",
@@ -90,7 +89,6 @@ LIVE_FIELDS = (
     "bytes_sent",       # ledger bytes (p2p sent + collective in)
     "messages_sent",    # ledger messages (p2p sent + collective calls)
     "batches",          # incremental-session batches absorbed
-    "migrations",       # rebalance events this rank participated in
     "status",           # STATUS_RUNNING / STATUS_DONE / STATUS_FAILED
     "wait_seconds",     # ledger seconds truly blocked in request waits
     "overlap_seconds",  # ledger seconds of comm latency hidden by compute
@@ -117,10 +115,6 @@ PHASE_OTHER = "other"
 #: Reproduction-only instrumentation (exact global codelength); not a
 #: paper phase and excluded from modeled runtime.
 PHASE_MEASUREMENT = "measurement"
-#: Mid-run dynamic repartitioning (see repro.partition.rebalance): the
-#: skew probe, victim migration and table resync all meter here, so
-#: migration traffic is separable from the paper's four phases.
-PHASE_REBALANCE = "rebalance"
 #: Out-of-core shard loading (see repro.partition.shard): memmap row
 #: reads plus the ghost flow/boundary exchange.  The paper excludes
 #: ingest from its measured stages, so this phase is likewise outside
@@ -135,7 +129,6 @@ PHASE_NAMES = (
     PHASE_SWAP_BOUNDARY,
     PHASE_OTHER,
     PHASE_MEASUREMENT,
-    PHASE_REBALANCE,
     PHASE_INGEST,
 )
 PHASE_IDS = {name: i for i, name in enumerate(PHASE_NAMES)}
@@ -150,7 +143,7 @@ _STATUS_NAMES = {STATUS_RUNNING: "running", STATUS_DONE: "done",
 #: gauges.
 _COUNTER_FIELDS = frozenset(
     ("sweeps", "moves", "edges_scanned", "bytes_sent", "messages_sent",
-     "batches", "migrations", "wait_seconds", "overlap_seconds")
+     "batches", "wait_seconds", "overlap_seconds")
 )
 
 #: Bounded seqlock retries before a reader gives up and returns the
@@ -523,17 +516,16 @@ class LiveSnapshot:
         """Whole-job counter summary.
 
         ``edges_scanned``/``bytes_sent``/``messages_sent`` are genuinely
-        per-rank and sum; ``moves`` and ``migrations`` are published as
-        replicated job-wide counts on the distributed path (they come
-        off allreduced values), so the max across ranks *is* the job
-        total — summing them would multiply by the rank count.
+        per-rank and sum; ``moves`` is published as a replicated
+        job-wide count on the distributed path (it comes off allreduced
+        values), so the max across ranks *is* the job total — summing
+        it would multiply by the rank count.
         """
         out = {
             name: float(self.field(name).sum())
             for name in ("edges_scanned", "bytes_sent", "messages_sent")
         }
         out["moves"] = float(self.field("moves").max())
-        out["migrations"] = float(self.field("migrations").max())
         return out
 
     def skew(self) -> float:
@@ -612,7 +604,6 @@ class LiveSnapshot:
             f" edges={int(t['edges_scanned'])}"
             f" bytes={int(t['bytes_sent'])}"
             f" msgs={int(t['messages_sent'])}"
-            f" migrations={int(t['migrations'])}"
         )
         return "\n".join(lines)
 

@@ -20,9 +20,7 @@ patched graph; :func:`repair_local_views` does it for every rank:
   remapped through an old→new local map.
 * **Boundary repair** — each owned endpoint's ghosting-rank set is
   recomputed from its new adjacency and merged into
-  ``boundary_local`` / ``boundary_ranks`` at its sorted position, the
-  same discipline as the mid-run repartitioner's ghost registration
-  (:func:`repro.partition.rebalance._apply_registrations`).
+  ``boundary_local`` / ``boundary_ranks`` at its sorted position.
 * **Wholesale flow refresh** — a delta changes the graph's total weight
   ``W``, and every stored flow is normalized by ``2W``, so ``flow`` /
   ``exit0`` / ``nbr_flow`` are re-gathered from the new

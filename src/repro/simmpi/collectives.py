@@ -173,9 +173,7 @@ class CollectiveOpsMixin:
         return out
 
     # -- sparse neighbour exchange ----------------------------------------
-    def exchange(
-        self, msgs: Mapping[int, Any], *, known_counts: "int | None" = None
-    ) -> dict[int, Any]:
+    def exchange(self, msgs: Mapping[int, Any]) -> dict[int, Any]:
         """True point-to-point sparse exchange.
 
         One framed message per actual destination instead of a dense
@@ -192,34 +190,14 @@ class CollectiveOpsMixin:
         returned in ascending source order — consumers fold received
         batches in dict order and the deterministic-trajectory tests
         rely on it.
-
-        *known_counts* is the static-neighbourhood fast path: when the
-        caller already knows how many ranks will address it this round
-        (a fixed communication pattern), passing that count skips the
-        counts-allreduce handshake entirely — the ``MPI_Neighbor_``
-        shortcut.  The caller then also owns the barrier property the
-        allreduce provided: consecutive ``known_counts`` exchanges are
-        only safe if some other collective separates the rounds (or the
-        pattern is identical every round, in which case per-pair FIFO
-        ordering keeps rounds from mixing).  ``exchange_dense`` remains
-        the oracle; metering of the real messages is unchanged, only
-        the handshake's collective call disappears.
         """
         self._check_abort()
         self._check_exchange_dests(msgs)
-        if known_counts is None:
-            counts = np.zeros(self.size, dtype=np.int64)
-            for dest in msgs:
-                counts[dest] = 1
-            totals = self.allreduce(counts)
-            n_recv = int(totals[self.rank])
-        else:
-            if known_counts < 0 or known_counts > self.size - 1:
-                raise ValueError(
-                    f"known_counts must be in [0, {self.size - 1}], "
-                    f"got {known_counts}"
-                )
-            n_recv = int(known_counts)
+        counts = np.zeros(self.size, dtype=np.int64)
+        for dest in msgs:
+            counts[dest] = 1
+        totals = self.allreduce(counts)
+        n_recv = int(totals[self.rank])
         for dest in sorted(msgs):
             self.send(msgs[dest], dest, tag=EXCHANGE_TAG)
         out: dict[int, Any] = {}
@@ -275,9 +253,7 @@ class CollectiveOpsMixin:
                 self._nb_post(peer, tag, wire, nbytes)
         return ReduceRequest(self, tag, fn, wire, nbytes)
 
-    def iexchange(
-        self, msgs: Mapping[int, Any], *, known_counts: "int | None" = None
-    ) -> ExchangeRequest:
+    def iexchange(self, msgs: Mapping[int, Any]) -> ExchangeRequest:
         """Nonblocking sparse exchange (the pipelined *Swap Boundary
         Information* primitive).
 
@@ -289,34 +265,20 @@ class CollectiveOpsMixin:
         ascending-source dict :meth:`exchange` returns — byte-for-byte
         the same ledger, fold order and result, only the *when* of the
         blocking moved.
-
-        *known_counts* skips the handshake exactly as in
-        :meth:`exchange` (static-neighbourhood fast path; the caller
-        owns round separation).
         """
         self._check_abort()
         self._check_exchange_dests(msgs)
         tag = IEXCHANGE_TAG + self._next_nb_seq()
-        counts_req: "ReduceRequest | None" = None
-        n_recv: "int | None" = None
-        if known_counts is None:
-            counts = np.zeros(self.size, dtype=np.int64)
-            for dest in msgs:
-                counts[dest] = 1
-            counts_req = self.iallreduce(counts)
-            # The outer request owns wait/overlap attribution; the
-            # nested counts reduce still meters its bytes.
-            counts_req._meter = False
-        else:
-            if known_counts < 0 or known_counts > self.size - 1:
-                raise ValueError(
-                    f"known_counts must be in [0, {self.size - 1}], "
-                    f"got {known_counts}"
-                )
-            n_recv = int(known_counts)
+        counts = np.zeros(self.size, dtype=np.int64)
+        for dest in msgs:
+            counts[dest] = 1
+        counts_req = self.iallreduce(counts)
+        # The outer request owns wait/overlap attribution; the nested
+        # counts reduce still meters its bytes.
+        counts_req._meter = False
         for dest in sorted(msgs):
             self.send(msgs[dest], dest, tag=tag)
-        return ExchangeRequest(self, tag, counts_req, n_recv)
+        return ExchangeRequest(self, tag, counts_req)
 
     def try_recv_status(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG

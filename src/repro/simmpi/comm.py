@@ -219,9 +219,7 @@ class Communicator(ABC):
         """
         return Request._completed(self.allreduce(obj, op=op))
 
-    def iexchange(
-        self, msgs: Mapping[int, Any], *, known_counts: "int | None" = None
-    ) -> "Request":
+    def iexchange(self, msgs: Mapping[int, Any]) -> "Request":
         """Nonblocking sparse exchange (MPI: isend per destination plus
         ``Iallreduce`` of the counts vector).
 
@@ -230,7 +228,7 @@ class Communicator(ABC):
         loop.  ``wait()`` returns the same ascending-source dict
         :meth:`exchange` returns.
         """
-        return Request._completed(self.exchange(msgs, known_counts=known_counts))
+        return Request._completed(self.exchange(msgs))
 
     # -- collectives --------------------------------------------------------
     @abstractmethod
@@ -315,9 +313,7 @@ class Communicator(ABC):
         incoming = self.alltoall(out)
         return {src: p for src, p in enumerate(incoming) if p is not None}
 
-    def exchange(
-        self, msgs: Mapping[int, Any], *, known_counts: "int | None" = None
-    ) -> dict[int, Any]:
+    def exchange(self, msgs: Mapping[int, Any]) -> dict[int, Any]:
         """Sparse personalized exchange: send ``msgs[dest]`` to each *dest*,
         return ``{src: payload}`` for every rank that addressed us, in
         ascending source order.
@@ -331,11 +327,5 @@ class Communicator(ABC):
         true point-to-point sends so only real traffic moves and is
         metered.  Like the collectives, ``exchange`` must be called by
         every rank (possibly with an empty mapping).
-
-        *known_counts* — the number of incoming messages this rank
-        expects — lets a caller with a static destination set skip the
-        counts handshake on the point-to-point implementations; the
-        dense path needs no handshake, so it ignores the hint.
         """
-        del known_counts  # dense alltoall is self-synchronizing
         return self.exchange_dense(msgs)

@@ -292,22 +292,15 @@ class ExchangeRequest(Request):
     __slots__ = ("_counts_req", "_n_recv", "_out")
 
     def __init__(
-        self,
-        comm: Any,
-        tag: int,
-        counts_req: "ReduceRequest | None",
-        n_recv: "int | None",
+        self, comm: Any, tag: int, counts_req: "ReduceRequest"
     ) -> None:
         super().__init__()
         self._comm = comm
         self._tag = tag
         self._done = False
         self._counts_req = counts_req
-        self._n_recv = n_recv
+        self._n_recv: "int | None" = None
         self._out: dict[int, Any] = {}
-        if n_recv == 0 and counts_req is None:
-            self._value = {}
-            self._done = True
 
     def _resolve_counts_blocking(self) -> int:
         if self._n_recv is None:

@@ -97,12 +97,6 @@ def test_merge_bench_reports(tmp_path):
             {"backend": "procs", "speedup": 1.9},
         ], "cpus": 8, "host": {"cpus": 8, "platform": "Linux-test"}})
     )
-    (tmp_path / "BENCH_rebalance.json").write_text(
-        json.dumps({"rows": [
-            {"rebalance": False, "skew": 3.2},
-            {"rebalance": True, "skew": 1.4, "skew_improvement": 2.3},
-        ], "host": {"cpus": 8, "platform": "Linux-test"}})
-    )
     (tmp_path / "BENCH_ingest.json").write_text(
         json.dumps({"rows": [
             {"stage": "build", "edges_per_sec": 2.5e6},
@@ -131,10 +125,10 @@ def test_merge_bench_reports(tmp_path):
     (tmp_path / "unrelated.json").write_text("{}")
     out = tmp_path / "report.json"
     report = merge_bench_reports(tmp_path, out)
-    assert report["count"] == 10
+    assert report["count"] == 9
     assert sorted(report["benchmarks"]) == [
         "incremental", "ingest", "live", "obs", "overlap", "procs",
-        "rebalance", "swap", "sweep", "wire"
+        "swap", "sweep", "wire"
     ]
     assert (
         report["benchmarks"]["incremental"]["rows"][0]["work_speedup"]
@@ -146,15 +140,11 @@ def test_merge_bench_reports(tmp_path):
     assert report["benchmarks"]["wire"]["rows"][0]["rounds_per_s"] == 141.9
     assert report["benchmarks"]["obs"]["rows"][1]["overhead"] == 1.05
     assert report["benchmarks"]["procs"]["rows"][1]["speedup"] == 1.9
-    assert (
-        report["benchmarks"]["rebalance"]["rows"][1]["skew_improvement"]
-        == 2.3
-    )
     assert report["benchmarks"]["live"]["rows"][1]["overhead"] == 1.02
     assert report["benchmarks"]["overlap"]["rows"][1]["wait_ratio"] == 0.45
     # host stamps survive the merge untouched
     assert report["benchmarks"]["procs"]["host"]["platform"] == "Linux-test"
-    assert report["benchmarks"]["rebalance"]["host"]["cpus"] == 8
+    assert report["benchmarks"]["incremental"]["host"]["cpus"] == 8
     assert report["benchmarks"]["live"]["host"]["load_avg"] == [0.1] * 3
     assert json.loads(out.read_text()) == report
 

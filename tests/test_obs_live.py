@@ -78,8 +78,8 @@ class TestPlaneApi:
     def test_phase_accepts_names_and_ids(self):
         plane = LivePlane(1)
         row = plane.for_rank(0)
-        row.update(phase="rebalance")
-        assert row.value("phase") == PHASE_IDS["rebalance"]
+        row.update(phase="ingest")
+        assert row.value("phase") == PHASE_IDS["ingest"]
         row.update(phase=2)
         assert row.value("phase") == 2
         row.update(phase="no-such-phase")
@@ -90,7 +90,7 @@ class TestPlaneApi:
 
         names = [getattr(timing, n) for n in timing.__all__
                  if n.startswith("PHASE_")]
-        assert len(names) == 7
+        assert len(names) == 6
         assert all(PHASE_IDS.get(name, 0) > 0 for name in names)
         assert set(timing.PHASES) <= set(names)
 

@@ -64,11 +64,6 @@ class TestOverlapEquivalence:
         ra, rb = _pair(graph, 4, seed=7, backend="procs")
         _assert_bitwise(ra, rb)
 
-    def test_threads_bitwise_with_rebalance(self, graph):
-        ra, rb = _pair(graph, 4, seed=7, dynamic_rebalance=True)
-        _assert_bitwise(ra, rb)
-        assert ra.extras["rebalance_events"] == rb.extras["rebalance_events"]
-
     def test_threads_bitwise_paper_literal_protocol(self, graph):
         # The non-delta membership sync and the always-send swap take
         # the other exchange branch; pin equivalence there too.

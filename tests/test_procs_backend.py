@@ -406,74 +406,6 @@ def test_procs_unpicklable_result_degrades_gracefully():
 
 
 # ---------------------------------------------------------------------------
-# known_counts fast path
-# ---------------------------------------------------------------------------
-
-def _ring_pattern(comm):
-    # Static neighbourhood: everyone sends to (rank+1) % size and
-    # receives from (rank-1) % size — known_counts is exactly 1.
-    dest = (comm.rank + 1) % comm.size
-    return {dest: np.array([comm.rank, comm.rank * 2], dtype=np.int64)}
-
-
-@pytest.mark.parametrize("backend", ["threads", "procs"])
-def test_known_counts_matches_dense_oracle(backend):
-    def prog(comm):
-        msgs = _ring_pattern(comm)
-        fast = comm.exchange(msgs, known_counts=1)
-        comm.barrier()  # caller-owned round separation
-        dense = comm.exchange_dense(msgs)
-        assert list(fast) == list(dense)
-        for src in fast:
-            np.testing.assert_array_equal(fast[src], dense[src])
-        return sorted(fast)
-
-    res = run_spmd(prog, NRANKS, backend=backend)
-    for r, srcs in enumerate(res.results):
-        assert srcs == [(r - 1) % NRANKS]
-
-
-def test_known_counts_skips_handshake_collective():
-    def prog(comm):
-        comm.set_phase("hs")
-        comm.exchange(_ring_pattern(comm))
-        hs = comm.stats.snapshot()
-        comm.set_phase("fast")
-        comm.exchange(_ring_pattern(comm), known_counts=1)
-        return hs, comm.stats.snapshot()
-
-    res = run_spmd(prog, NRANKS)
-    for hs, total in res.results:
-        # Handshake round: 1 allreduce; fast round: none.
-        assert total["collective_calls"] == hs["collective_calls"]
-        # Real traffic is metered identically in both rounds: the fast
-        # round's bytes are the handshake round's minus exactly the
-        # counts-allreduce contribution (the round's only collective).
-        assert (total["p2p_messages_sent"] - hs["p2p_messages_sent"]) == 1
-        assert (total["bytes_by_phase"]["fast"]
-                == hs["bytes_by_phase"]["hs"] - hs["collective_bytes_in"])
-
-
-def test_known_counts_validation():
-    def prog(comm):
-        with pytest.raises(ValueError, match="known_counts"):
-            comm.exchange({}, known_counts=comm.size)
-        with pytest.raises(ValueError, match="known_counts"):
-            comm.exchange({}, known_counts=-1)
-        comm.barrier()
-        return True
-
-    assert run_spmd(prog, 2).results == [True, True]
-
-
-def test_known_counts_ignored_on_dense_backend():
-    from repro.simmpi import SerialCommunicator
-
-    comm = SerialCommunicator()
-    assert comm.exchange({}, known_counts=0) == {}
-
-
-# ---------------------------------------------------------------------------
 # tracing on the procs backend
 # ---------------------------------------------------------------------------
 

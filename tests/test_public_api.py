@@ -93,9 +93,8 @@ def test_all_names_exist(module):
 def test_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(InfomapConfig)] == [
         "threshold", "max_levels", "seed", "shuffle",
-        "d_high", "rebalance", "dynamic_rebalance", "rebalance_threshold",
-        "rebalance_interval", "min_label", "full_module_info", "move_rule",
-        "delta_swap", "delegate_consensus", "prune_inactive",
+        "d_high", "rebalance", "min_label", "full_module_info",
+        "move_rule", "delta_swap", "delegate_consensus", "prune_inactive",
         "round_threshold_rel", "max_rounds", "batch_size", "overlap",
         "backend", "warm_dirty_hops",
         "tracer", "live",
