@@ -251,9 +251,10 @@ class _TableStore:
         self.indices = state.lg.nbr
         # The table's own record cache, read with no Python frame.
         self.record = state.table_records.__getitem__
-        self.bmods_arr = np.fromiter(
-            sorted(bmods), dtype=np.int64, count=len(bmods)
-        )
+        self.bmask = None
+        if bmods:
+            self.bmask = np.zeros(id_space, dtype=bool)
+            self.bmask[list(bmods)] = True
         self._single: list[bool] = []
 
     def score(self, block: np.ndarray):
@@ -282,7 +283,7 @@ class _TableStore:
                 single[own]
                 & (agg.seg_mods > agg.current[own])
                 & (snap.members_at(slot_seg) == 1)
-                & np.isin(agg.seg_mods, self.bmods_arr)
+                & self.bmask[agg.seg_mods]
             )
         return agg, score_block(
             agg, q_seg=q_seg, p_seg=p_seg, q_old=q_old, p_old=p_old,

@@ -68,7 +68,7 @@ class _StatsStore:
 
     zero_slack = 0.0
     bmods: frozenset = frozenset()
-    bmods_arr = np.empty(0, np.int64)
+    bmask = None
 
     def __init__(
         self, network: FlowNetwork, membership: np.ndarray,

@@ -30,7 +30,16 @@ buffer absorbing mid-round inserts until the next ``compact()``), and
 every protocol path — rebuild, swap-prepare, membership-sync — is
 columnar, built on ``np.unique`` + ``np.bincount`` segment reduction
 and the :meth:`LocalGraph.boundary_groups` group-by.
-``table_arrays()`` is a near-free view of the live columns.  (A legacy
+``table_arrays()`` is a near-free view of the live columns.  Beside
+the sorted column the table keeps a *slot index*: a dense ``int64``
+array from module id to column slot (-1 when absent), rebuilt by every
+``reset`` and extended by ``insert``, so the batch kernel resolves a
+block's thousands of module ids with one gather instead of a binary
+search each.  It costs 8 B per id up to the largest module id the
+table has seen, plus one clamp entry past it that every larger id
+reads.  A table whose ids are sparser than 64 per module (plus
+65,536) keeps no index and binary-searches instead; a level's module
+ids are its vertex ids, so only hand-built tables do.  (A legacy
 per-key dict implementation served as the equivalence oracle for one
 release and has been retired; the read-only ``table_sum_p`` /
 ``table_exit`` / ``table_members`` mappings remain as views over the
@@ -68,35 +77,63 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
+#: The slot index spans at most this many ids per module of the table,
+#: plus :data:`_INDEX_FLOOR`.  A level's module ids are its vertex ids,
+#: which a rank's table covers densely enough; a table with sparser ids
+#: keeps no index, and its lookups binary-search the id column.
+_INDEX_PER_MODULE = 64
+_INDEX_FLOOR = 1 << 16
+
+
+def _sparse(top: int, k: int) -> bool:
+    """Whether ids up to *top* are too sparse to index for *k* modules."""
+    return top >= _INDEX_PER_MODULE * k + _INDEX_FLOOR
+
+
+def slot_index(ids: np.ndarray) -> "np.ndarray | None":
+    """Dense ``{module id → slot}`` index of the sorted id column *ids*:
+    ``index[m]`` is ``m``'s position in *ids*, ``-1`` if absent, and the
+    last entry, one past the largest id, is a ``-1`` that every larger
+    id is clamped to (:meth:`TableArrays.slots`).  ``None`` when the
+    ids are too sparse (:data:`_INDEX_PER_MODULE`)."""
+    if ids.size and _sparse(int(ids[-1]), ids.size):
+        return None
+    index = np.full(int(ids[-1]) + 2 if ids.size else 1, -1, dtype=np.int64)
+    index[ids] = np.arange(ids.size, dtype=np.int64)
+    return index
+
+
 @dataclass(frozen=True)
 class TableArrays:
     """Array-backed snapshot of a rank's module table.
 
-    A *live view* of the :class:`ModuleTable` columns (near-free to
-    produce) that lets the batched move kernel resolve thousands of
-    ``(q_m, p_m)`` lookups with two ``searchsorted`` calls instead of a
-    Python loop.  Values are the exact stored table floats (missing
-    modules read as 0.0).
+    A *live view* of the :class:`ModuleTable` columns and slot index
+    (near-free to produce) that lets the batched move kernel resolve
+    thousands of ``(q_m, p_m)`` lookups with one gather from the index
+    instead of a Python loop.  Values are the exact stored table floats
+    (missing modules read as 0.0).  Without an *index* (a snapshot not
+    taken from a table) one is built from *mod_ids*; ids too sparse to
+    index (:func:`slot_index`) are binary-searched.
     """
 
     mod_ids: np.ndarray  # int64[k], sorted
     exit: np.ndarray  # float64[k]
     sum_p: np.ndarray  # float64[k]
     members: "np.ndarray | None" = None  # int64[k]
+    index: "np.ndarray | None" = None  # int64[max id + 2], slot_index
 
-    def _find(self, mod_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Clamped positions of *mod_ids* and whether each is present."""
-        pos = np.minimum(
-            np.searchsorted(self.mod_ids, mod_ids), self.mod_ids.size - 1
-        )
-        return pos, self.mod_ids[pos] == mod_ids
+    def __post_init__(self) -> None:
+        if self.index is None:
+            object.__setattr__(self, "index", slot_index(self.mod_ids))
 
     def slots(self, mod_ids: np.ndarray) -> np.ndarray:
         """Each of *mod_ids*' position in the columns, -1 if absent."""
-        if self.mod_ids.size == 0 or mod_ids.size == 0:
-            return np.full(mod_ids.size, -1, dtype=np.int64)
-        pos, hit = self._find(mod_ids)
-        return np.where(hit, pos, -1)
+        index = self.index
+        if index is None:
+            ids = self.mod_ids
+            pos = np.minimum(np.searchsorted(ids, mod_ids), ids.size - 1)
+            return np.where(ids[pos] == mod_ids, pos, -1)
+        return index[np.minimum(mod_ids, index.size - 1)]
 
     def at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(q_m, p_m) at *slots* (:meth:`slots`), 0.0 where absent."""
@@ -208,7 +245,11 @@ class ModuleTable:
     ``compact()`` merges the overflow back into the sorted base (called
     before every snapshot; rebuilds call ``reset`` directly).  A
     ``{module id → slot}`` dict gives O(1) scalar lookups; slots
-    ``>= ids.size`` index the overflow.
+    ``>= ids.size`` index the overflow.  ``index`` holds the same map as
+    a dense array (:func:`slot_index`, -1 for an absent id), for the
+    batch kernel's vector lookups: ``reset`` rebuilds it and ``insert``
+    extends it, growing it past a new largest id (or dropping it, to
+    ``None``, for ids too sparse to index until the next ``reset``).
 
     ``records[m]`` is ``(q, p, n, plogp(q), plogp(q + p))`` of module
     ``m``, cached for the distributed scalar scorer (see
@@ -226,7 +267,7 @@ class ModuleTable:
     """
 
     __slots__ = (
-        "ids", "exit", "sum_p", "members", "_pos",
+        "ids", "exit", "sum_p", "members", "_pos", "index",
         "_ov_ids", "_ov_exit", "_ov_sum_p", "_ov_members", "records",
     )
 
@@ -247,6 +288,7 @@ class ModuleTable:
         self.sum_p = sum_p
         self.members = members
         self._pos = dict(zip(ids.tolist(), range(ids.size)))
+        self.index = slot_index(ids)
         self._ov_ids: list[int] = []
         self._ov_exit: list[float] = []
         self._ov_sum_p: list[float] = []
@@ -293,7 +335,18 @@ class ModuleTable:
 
     def insert(self, mod_id: int, q: float, p: float, n: int) -> None:
         """O(1) insert of a new module into the overflow buffer."""
-        self._pos[mod_id] = self.ids.size + len(self._ov_ids)
+        slot = self._pos[mod_id] = self.ids.size + len(self._ov_ids)
+        index = self.index
+        if index is not None and mod_id >= index.size - 1:
+            # Past the end: grow to keep the clamp entry past every id.
+            if _sparse(mod_id, len(self._pos)):
+                index = None
+            else:
+                index = np.full(mod_id + 2, -1, dtype=np.int64)
+                index[: self.index.size] = self.index
+            self.index = index
+        if index is not None:
+            index[mod_id] = slot
         self._ov_ids.append(mod_id)
         self._ov_exit.append(q)
         self._ov_sum_p.append(p)
@@ -597,7 +650,7 @@ class LocalModuleState:
         t = self._table
         return TableArrays(
             mod_ids=t.ids, exit=t.exit, sum_p=t.sum_p,
-            members=t.members,
+            members=t.members, index=t.index,
         )
 
     def apply_local_move(

@@ -58,10 +58,8 @@ def gather_rows(
     # Within-run offset = global position minus the run's start in the
     # concatenation; add the run's CSR start to land on the entry.
     run_start = np.cumsum(deg) - deg
-    entries = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(run_start, deg)
-        + np.repeat(starts, deg)
+    entries = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - run_start, deg
     )
     return entries, owner
 

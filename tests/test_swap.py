@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import FlowNetwork, ModuleInfo, ModuleStats
 from repro.core.mapequation import RunPlan
-from repro.core.swap import LocalModuleState
+from repro.core.swap import LocalModuleState, ModuleTable, TableArrays
 from repro.graph import ring_of_cliques
 from repro.partition import delegate_partition, local_views_delegate
 
@@ -285,3 +285,98 @@ class TestApplyLocalMove:
         before = int(st.module_of[0])
         st.apply_local_move(0, before, p_u=0.1, x_u=0.1, d_old=0, d_new=0)
         assert st.module_of[0] == before
+
+
+class TestSlotIndex:
+    """The table's dense slot index answers what a binary search of its
+    sorted id column answers (and, for an overflow module, its
+    ``_pos`` slot), after every way the table changes."""
+
+    @staticmethod
+    def _slots(t: ModuleTable, ids: np.ndarray) -> np.ndarray:
+        return TableArrays(
+            mod_ids=t.ids, exit=t.exit, sum_p=t.sum_p, index=t.index
+        ).slots(ids)
+
+    @staticmethod
+    def _searched(t: ModuleTable, ids: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(t.ids, ids)
+        hit = pos < t.ids.size
+        hit[hit] = t.ids[pos[hit]] == ids[hit]
+        want = np.where(hit, pos, -1)
+        for j, m in enumerate(t._ov_ids):
+            want[ids == m] = t.ids.size + j
+        return want
+
+    def _check(self, t: ModuleTable) -> None:
+        known = [int(m) for m in t.ids] + t._ov_ids
+        top = max(known, default=0)
+        ids = np.unique(np.concatenate([
+            np.arange(min(top, 100) + 10), known, [top + 1, top + 7],
+        ])).astype(np.int64)
+        if t._ov_ids:
+            ids = ids[~np.isin(ids, t._ov_ids)]  # not in the columns yet
+        np.testing.assert_array_equal(
+            self._slots(t, ids), self._searched(t, ids)
+        )
+        if t.index is None:
+            return
+        assert t.index.size == (top + 2 if known else 1)
+        assert t.index[-1] == -1
+        np.testing.assert_array_equal(
+            t.index[np.minimum(ids, t.index.size - 1)],
+            self._searched(t, ids),
+        )
+        for m, slot in t._pos.items():
+            assert t.index[m] == slot
+
+    def test_reset_insert_compact(self):
+        t = ModuleTable()
+        self._check(t)
+        ids = np.array([3, 7, 8, 20], dtype=np.int64)
+        t.reset(ids, np.full(4, 0.1), np.full(4, 0.2), np.ones(4, np.int64))
+        self._check(t)
+        t.insert(5, 0.1, 0.1, 1)  # inside the index
+        self._check(t)
+        t.insert(21, 0.1, 0.1, 1)  # the clamp entry's own id
+        self._check(t)
+        t.insert(40, 0.1, 0.1, 1)  # above every id seen so far
+        self._check(t)
+        t.compact()
+        assert t._ov_ids == []
+        self._check(t)
+        assert self._slots(t, np.array([5, 21, 40, 41, 10**6])).tolist() == [
+            1, 5, 6, -1, -1,
+        ]
+        t.reset(
+            ids[:2], np.full(2, 0.1), np.full(2, 0.2), np.ones(2, np.int64)
+        )
+        self._check(t)  # a reset shrinks the index back
+
+    def test_sparse_ids_fall_back_to_search(self):
+        t = ModuleTable()
+        ids = np.array([3, 7], dtype=np.int64)
+        t.reset(ids, np.full(2, 0.1), np.full(2, 0.2), np.ones(2, np.int64))
+        assert t.index is not None
+        t.insert(10**9, 0.1, 0.1, 1)  # far past 64 ids per module
+        assert t.index is None
+        self._check(t)
+        t.compact()
+        assert t.index is None
+        self._check(t)
+        assert self._slots(t, np.array([10**9, 7, 10**9 + 1])).tolist() == [
+            2, 1, -1,
+        ]
+        t.reset(ids, np.full(2, 0.1), np.full(2, 0.2), np.ones(2, np.int64))
+        assert t.index is not None
+        self._check(t)
+
+    def test_table_snapshot_after_rebuild(self, world):
+        _lg, _net, _dp, _views, states = world
+        for st in states:
+            st.rebuild_table(st.contribution(), [])
+            snap = st.table_arrays()
+            ids = np.arange(int(snap.mod_ids[-1]) + 10, dtype=np.int64)
+            np.testing.assert_array_equal(
+                snap.slots(ids), self._searched(st._table, ids)
+            )
