@@ -51,7 +51,14 @@ from ..graph.graph import Graph
 from ..obs.log import get_logger
 from ..obs.rss import current_rss_bytes, peak_rss_bytes
 from ..partition.delegates import delegate_partition
-from ..partition.distgraph import LocalGraph, build_local_graphs, local_views_1d
+from ..partition.distgraph import (
+    LocalGraph,
+    build_local_graphs,
+    dense_isin,
+    dense_unique,
+    local_views_1d,
+    sorted_unique,
+)
 from ..partition.oned import OneDPartition
 from ..partition.repair import repair_local_view, sum_repair_stats
 from ..partition.shard import load_shard
@@ -418,11 +425,12 @@ def _exact_codelength(
             exs.append(mex)
         all_ids = np.concatenate(ids)
         if all_ids.size:
-            uniq, inv = np.unique(all_ids, return_inverse=True)
-            q = np.bincount(inv, weights=np.concatenate(exs),
-                            minlength=uniq.size)
-            pm = np.bincount(inv, weights=np.concatenate(sps),
-                             minlength=uniq.size)
+            size = int(all_ids.max()) + 1
+            uniq = dense_unique(size, all_ids)
+            q = np.bincount(all_ids, weights=np.concatenate(exs),
+                            minlength=size)[uniq]
+            pm = np.bincount(all_ids, weights=np.concatenate(sps),
+                             minlength=size)[uniq]
             partial = np.array(
                 [q.sum(), plogp(q).sum(), plogp(q + pm).sum()]
             )
@@ -456,13 +464,6 @@ def _build_level_caches(
         for i, g in enumerate(lg.global_of[lg.hub_slice()])
     }
 
-    # Reverse adjacency (target -> stored sources), for active-set
-    # pruning: when a vertex changes module, exactly its stored
-    # in-neighbours need re-evaluation.
-    rev_order = np.argsort(lg.nbr, kind="stable")
-    rev_targets = lg.nbr[rev_order]
-    rev_sources = state._entry_src[rev_order]
-
     # Locally-stored hub adjacency, grouped by hub ordinal once, for
     # the delegate-consensus contribution cache.
     h_lo0 = int(lg.indptr[lg.num_owned]) if lg.num_hubs else lg.nbr.size
@@ -480,8 +481,6 @@ def _build_level_caches(
     return SimpleNamespace(
         ghost_index=ghost_index,
         hub_index=hub_index,
-        rev_targets=rev_targets,
-        rev_sources=rev_sources,
         hub_ord_per_entry=_h_ord[_h_order],
         hub_tgt_sorted=_h_tgt[_h_ns][_h_order],
         hub_flw_sorted=_h_flw[_h_ns][_h_order],
@@ -825,7 +824,7 @@ class _Level:
                     if not sel.any():
                         continue
                     payload = (
-                        np.unique(uk[sel] // id_space), uk[sel], kf[sel]
+                        sorted_unique(uk[sel] // id_space), uk[sel], kf[sel]
                     )
                     if r == comm.rank:
                         self_update = payload
@@ -853,7 +852,7 @@ class _Level:
                 continue
             pk, pf = peer_keys[r], peer_flows[r]
             if pk.size:
-                keep = ~np.isin(pk // id_space, uh)
+                keep = ~dense_isin(pk // id_space, uh)
                 nk = np.concatenate([pk[keep], k2])
                 nf = np.concatenate([pf[keep], f2])
             else:
@@ -871,7 +870,7 @@ class _Level:
             cm = np.fromiter(
                 self.changed_mods, dtype=np.int64, count=len(self.changed_mods)
             )
-            rescore_mask |= np.isin(hub_mods_now, cm)
+            rescore_mask |= dense_isin(hub_mods_now, cm)
         # Only the hub's home rank scores it — every rank holds the same
         # merged flows, so scoring is pure duplication; the winner still
         # reaches everyone through the proposal allgather.
@@ -886,7 +885,7 @@ class _Level:
             pk = peer_keys[r]
             if pk.size == 0:
                 continue
-            m = np.isin(pk // id_space, rescore_hubs)
+            m = rescore_mask[pk // id_space]
             sel_k.append(pk[m])
             sel_f.append(peer_flows[r][m])
         if not sel_k:
@@ -980,17 +979,10 @@ class _Level:
         """Activate the stored in-neighbours (owned and hub) of *changed*."""
         if changed.size == 0:
             return
-        lg, C = self.lg, self.C
-        lo = np.searchsorted(C.rev_targets, changed)
-        deg = np.searchsorted(C.rev_targets, changed + 1) - lo
-        total = int(deg.sum())
-        if total == 0:
-            return
-        # One gather of every [lo, hi) run, as graph.gather_rows does.
-        run_start = np.cumsum(deg) - deg
-        srcs = C.rev_sources[
-            np.arange(total, dtype=np.int64) + np.repeat(lo - run_start, deg)
-        ]
+        lg = self.lg
+        hit = np.zeros(lg.num_local, dtype=bool)
+        hit[changed] = True
+        srcs = self.state._entry_src[hit[lg.nbr]]
         owned = srcs < lg.num_owned
         self.active[srcs[owned]] = True
         self.hub_dirty[srcs[~owned] - lg.num_owned] = True
@@ -1023,7 +1015,7 @@ class _Level:
                         self.changed_mods, dtype=np.int64,
                         count=len(self.changed_mods),
                     )
-                    self.active |= np.isin(
+                    self.active |= dense_isin(
                         self.state.module_of[: lg.num_owned], cm
                     )
         return self._posted(self.comm.iallreduce(self.own.total_exit()))
@@ -1137,7 +1129,7 @@ class _Level:
 
 def _cluster_rounds(
     comm: Communicator,
-    lg: LocalGraph,
+    state: LocalModuleState,
     cfg: InfomapConfig,
     timer: PhaseTimer,
     node_term: float,
@@ -1151,6 +1143,8 @@ def _cluster_rounds(
     """Algorithm 2 lines 2–7 (or 10–14 when ``with_delegates=False``).
 
     Args:
+        state: a fresh (all-singleton) state over the level's local
+            graph.
         id_space: exclusive upper bound on module ids at this level
             (vertex-id namespace size), used to pack (hub, module)
             pairs into scalar keys for the vectorized delegate path.
@@ -1167,7 +1161,7 @@ def _cluster_rounds(
 
     Returns the finished :class:`_Level`.
     """
-    state = LocalModuleState(lg)
+    lg = state.lg
     if seed_membership is not None:
         state.module_of = np.asarray(seed_membership, dtype=np.int64)[
             lg.global_of
@@ -1204,6 +1198,32 @@ def _cluster_rounds(
 # Distributed merge: communities -> replicated coarse flow network
 # ---------------------------------------------------------------------------
 
+def _pair_sums(
+    a: np.ndarray, b: np.ndarray, w: np.ndarray, id_space: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys ``a * id_space + b`` of module pairs
+    ``a <= b``, and the sum of *w* per key in entry order.  Internal
+    pairs (``a == b``), most entries once modules have formed, are
+    summed by a dense bincount over the module id; only the cross
+    pairs are sorted."""
+    inner = a == b
+    ia = a[inner]
+    size = int(ia.max(initial=-1)) + 1
+    mods = dense_unique(size, ia)
+    inner_keys = mods * np.int64(id_space + 1)
+    inner_w = np.bincount(ia, weights=w[inner], minlength=size)[mods]
+    cross = ~inner
+    ck, inv = np.unique(
+        a[cross] * np.int64(id_space) + b[cross], return_inverse=True
+    )
+    cw = np.bincount(inv, weights=w[cross], minlength=ck.size)
+    # np.bincount over no ids is int64, weights or not: promote.
+    cw = cw.astype(np.result_type(cw, inner_w), copy=False)
+    # The two key sets are disjoint; merge them in key order.
+    pos = np.searchsorted(ck, inner_keys)
+    return np.insert(ck, pos, inner_keys), np.insert(cw, pos, inner_w)
+
+
 def _merge_to_coarse(
     comm: Communicator,
     state: LocalModuleState,
@@ -1217,9 +1237,13 @@ def _merge_to_coarse(
     ``(module_a, module_b, flow)`` triples (vertex self-loops weighted
     double so the later halving is exact), the triples and module
     visit-mass contributions are all-gathered, and every rank builds
-    the same coarse :class:`FlowNetwork`.  Replication is the paper's
-    own justification — after stage 1 the merged graph is orders of
-    magnitude smaller (Figure 5) — and the gather is metered.
+    the same coarse :class:`FlowNetwork`.  Both reductions of the
+    triples go through :func:`_pair_sums`, which sorts only the cross
+    pairs, and the coarse vertex set is a presence mask over the id
+    space, so neither the internal pairs nor the module ids are
+    sorted.  Replication is the paper's own justification — after
+    stage 1 the merged graph is orders of magnitude smaller (Figure 5)
+    — and the gather is metered.
 
     Returns ``(coarse_network, module_ids)`` where ``module_ids[c]`` is
     the pre-merge module id of coarse vertex ``c``.
@@ -1232,9 +1256,7 @@ def _merge_to_coarse(
         b = np.maximum(mod_src, mod_dst)
         self_entry = lg.nbr == state._entry_src
         w = lg.nbr_flow * np.where(self_entry, 2.0, 1.0)
-        key = a.astype(np.int64) * np.int64(id_space) + b
-        uk, inv = np.unique(key, return_inverse=True)
-        kw = np.bincount(inv, weights=w, minlength=uk.size)
+        uk, kw = _pair_sums(a, b, w, id_space)
 
     with timer.phase(PHASE_SWAP_BOUNDARY):
         gathered = comm.allgather(
@@ -1248,9 +1270,8 @@ def _merge_to_coarse(
         msps = np.concatenate([g[3] for g in gathered])
 
         # Module id space of the coarse graph.
-        all_mods = np.unique(
-            np.concatenate([mids, keys // id_space, keys % id_space])
-        )
+        ka, kb = keys // id_space, keys % id_space
+        all_mods = dense_unique(id_space, mids, ka, kb)
         k = all_mods.size
 
         # bincount-on-index: same sequential entry-order accumulation
@@ -1259,8 +1280,8 @@ def _merge_to_coarse(
             np.searchsorted(all_mods, mids), weights=msps, minlength=k
         )
 
-        uk2, inv2 = np.unique(keys, return_inverse=True)
-        kw2 = np.bincount(inv2, weights=kws, minlength=uk2.size) / 2.0
+        uk2, kw2 = _pair_sums(ka, kb, kws, id_space)
+        kw2 /= 2.0
         ca = np.searchsorted(all_mods, uk2 // id_space)
         cb = np.searchsorted(all_mods, uk2 % id_space)
         coarse_graph = from_edge_array(
@@ -1294,15 +1315,6 @@ def _load_shard(
     # local graph but has a larger constant.
     ingest["peak_rss_after_load_bytes"] = peak_rss_bytes()
     return lg, ingest
-
-
-def _exactly_once(lg: LocalGraph) -> np.ndarray:
-    """Local indices of the vertices this rank accounts for: its owned
-    vertices plus the hubs whose home it is."""
-    mass = np.zeros(lg.num_local, dtype=bool)
-    mass[: lg.num_owned] = True
-    mass[lg.num_owned : lg.num_owned + lg.num_hubs] = lg.hub_home
-    return np.flatnonzero(mass)
 
 
 @contextmanager
@@ -1372,8 +1384,9 @@ def _rank_program(
     rng = default_rng(cfg.seed + 7919 * comm.rank)
 
     # Constant node-codebook term, reduced from exactly-once vertex mass.
+    state1 = LocalModuleState(lg)
+    mass = state1.mass_idx
     with timer.phase(PHASE_OTHER):
-        mass = _exactly_once(lg)
         local_nt = -float(plogp(lg.flow[mass]).sum())
     node_term = float(comm.allreduce(local_nt))
 
@@ -1387,7 +1400,7 @@ def _rank_program(
     with _level_scope(comm, records, 0, n0) as row:
         with buf.span("stage1"):
             lv1 = _cluster_rounds(
-                comm, lg, cfg, timer, node_term, rng, with_delegates=True,
+                comm, state1, cfg, timer, node_term, rng, with_delegates=True,
                 id_space=n0, seed_membership=seed_membership,
                 active_seed=active_seed,
             )
@@ -1440,7 +1453,7 @@ def _rank_program(
                 lg2 = local_views_1d(net, part, rank=comm.rank)[0]
             with buf.span("stage2_level"):
                 lv = _cluster_rounds(
-                    comm, lg2, cfg, timer, node_term, rng,
+                    comm, LocalModuleState(lg2), cfg, timer, node_term, rng,
                     with_delegates=False, id_space=cn,
                 )
             codelength_history.extend(lv.history[1:])

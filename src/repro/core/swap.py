@@ -28,18 +28,22 @@ The module table is a live :class:`ModuleTable` (sorted id column +
 parallel ``exit``/``sum_p``/``members`` arrays, with a small overflow
 buffer absorbing mid-round inserts until the next ``compact()``), and
 every protocol path — rebuild, swap-prepare, membership-sync — is
-columnar, built on ``np.unique`` + ``np.bincount`` segment reduction
-and the :meth:`LocalGraph.boundary_groups` group-by.
+columnar: the contribution and the rebuild group by module id with
+dense ``np.bincount(ids, minlength=max id + 1)`` reductions and a
+presence mask (whose nonzero positions are the sorted id column), so
+neither sorts, in transient arrays sized by the largest module id in
+use; swap-prepare uses the :meth:`LocalGraph.boundary_groups` group-by.
 ``table_arrays()`` is a near-free view of the live columns.  Beside
 the sorted column the table keeps a *slot index*: a dense ``int64``
 array from module id to column slot (-1 when absent), rebuilt by every
 ``reset`` and extended by ``insert``, so the batch kernel resolves a
 block's thousands of module ids with one gather instead of a binary
-search each.  It costs 8 B per id up to the largest module id the
-table has seen, plus one clamp entry past it that every larger id
-reads.  A table whose ids are sparser than 64 per module (plus
-65,536) keeps no index and binary-searches instead; a level's module
-ids are its vertex ids, so only hand-built tables do.  (A legacy
+search each, and :meth:`ModuleTable.slot` reads a scalar one.  It
+costs 8 B per id up to the largest module id the table has seen, plus
+one clamp entry past it that every larger id reads.  A table whose ids
+are sparser than 64 per module (plus 65,536) keeps no index and
+binary-searches instead, with a dict for its scalar lookups; a level's
+module ids are its vertex ids, so only hand-built tables do.  (A legacy
 per-key dict implementation served as the equivalence oracle for one
 release and has been retired; the read-only ``table_sum_p`` /
 ``table_exit`` / ``table_members`` mappings remain as views over the
@@ -48,10 +52,10 @@ live table.)
 Determinism contract (tested): within a round the accumulation *order*
 is pinned — own contribution first, then received batches in ascending
 source order (which :meth:`Communicator.exchange` guarantees).
-``np.bincount`` on an inverse permutation accumulates each bin
-sequentially in entry order, so the folded floats are reproducible to
-the last bit regardless of rank count or transport — the same fact
-:mod:`repro.core.kernels` relies on.
+``np.bincount`` accumulates each bin sequentially in entry order, over
+a dense id exactly as over an ``np.unique`` inverse, so the folded
+floats are reproducible to the last bit regardless of rank count or
+transport — the same fact :mod:`repro.core.kernels` relies on.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..partition.distgraph import LocalGraph
+from ..partition.distgraph import LocalGraph, dense_unique, sorted_unique
 from .kernels import module_record
 from .mapequation import RunPlan
 
@@ -227,8 +231,8 @@ class _ModuleRecords(dict):
         self, mod_id: int
     ) -> tuple[float, float, int, float, float]:
         t = self._table
-        i = t._pos.get(mod_id)
-        rec = module_record(0.0, 0.0) if i is None else module_record(
+        i = t.slot(mod_id)
+        rec = module_record(0.0, 0.0) if i < 0 else module_record(
             *t._read(i)
         )
         self[mod_id] = rec
@@ -243,13 +247,15 @@ class ModuleTable:
     ``reset``/``compact``; modules created by moves between rebuilds
     land in small Python-list overflow buffers so an insert is O(1).
     ``compact()`` merges the overflow back into the sorted base (called
-    before every snapshot; rebuilds call ``reset`` directly).  A
-    ``{module id → slot}`` dict gives O(1) scalar lookups; slots
-    ``>= ids.size`` index the overflow.  ``index`` holds the same map as
-    a dense array (:func:`slot_index`, -1 for an absent id), for the
-    batch kernel's vector lookups: ``reset`` rebuilds it and ``insert``
-    extends it, growing it past a new largest id (or dropping it, to
-    ``None``, for ids too sparse to index until the next ``reset``).
+    before every snapshot; rebuilds call ``reset`` directly).  ``index``
+    maps module id to slot as a dense array (:func:`slot_index`, -1 for
+    an absent id; slots ``>= ids.size`` index the overflow) and serves
+    both the batch kernel's vector lookups and :meth:`slot`'s scalar
+    ones: ``reset`` rebuilds it and ``insert`` extends it, growing it
+    past a new largest id.  For ids too sparse to index, ``index`` is
+    ``None`` (from ``reset``, or from the ``insert`` that made them so,
+    until the next ``reset``) and a ``{module id → slot}`` dict,
+    ``_pos``, serves the scalar lookups instead.
 
     ``records[m]`` is ``(q, p, n, plogp(q), plogp(q + p))`` of module
     ``m``, cached for the distributed scalar scorer (see
@@ -287,8 +293,10 @@ class ModuleTable:
         self.exit = exit_
         self.sum_p = sum_p
         self.members = members
-        self._pos = dict(zip(ids.tolist(), range(ids.size)))
         self.index = slot_index(ids)
+        self._pos = None if self.index is not None else dict(
+            zip(ids.tolist(), range(ids.size))
+        )
         self._ov_ids: list[int] = []
         self._ov_exit: list[float] = []
         self._ov_sum_p: list[float] = []
@@ -309,6 +317,14 @@ class ModuleTable:
         )
         srt = np.argsort(ids, kind="stable")
         self.reset(ids[srt], exit_[srt], sum_p[srt], members[srt])
+
+    def slot(self, mod_id: int) -> int:
+        """*mod_id*'s slot (overflow slots follow the columns), -1 if
+        absent."""
+        index = self.index
+        if index is None:
+            return self._pos.get(mod_id, -1)
+        return index.item(mod_id) if mod_id < index.size else -1
 
     # -- mutation ----------------------------------------------------------
     def _read(self, i: int) -> tuple[float, float, int]:
@@ -335,18 +351,23 @@ class ModuleTable:
 
     def insert(self, mod_id: int, q: float, p: float, n: int) -> None:
         """O(1) insert of a new module into the overflow buffer."""
-        slot = self._pos[mod_id] = self.ids.size + len(self._ov_ids)
+        slot = self.ids.size + len(self._ov_ids)
         index = self.index
         if index is not None and mod_id >= index.size - 1:
             # Past the end: grow to keep the clamp entry past every id.
-            if _sparse(mod_id, len(self._pos)):
+            if _sparse(mod_id, slot + 1):
                 index = None
+                self._pos = dict(
+                    zip(self.ids.tolist() + self._ov_ids, range(slot))
+                )
             else:
                 index = np.full(mod_id + 2, -1, dtype=np.int64)
                 index[: self.index.size] = self.index
             self.index = index
         if index is not None:
             index[mod_id] = slot
+        else:
+            self._pos[mod_id] = slot
         self._ov_ids.append(mod_id)
         self._ov_exit.append(q)
         self._ov_sum_p.append(p)
@@ -369,15 +390,15 @@ class ModuleTable:
         put it there at the last rebuild, and entries are never dropped
         mid-round).
         """
-        io = self._pos.get(old)
-        if io is None:
+        io = self.slot(old)
+        if io < 0:
             raise KeyError(
                 f"apply_move out of unknown module {old}: the mover's "
                 f"own mass should have placed it in the table"
             )
         q_old, p_old, n_old = self._read(io)
-        i_new = self._pos.get(new)
-        if i_new is None:
+        i_new = self.slot(new)
+        if i_new < 0:
             q_new, p_new, n_new = 0.0, 0.0, 0
         else:
             q_new, p_new, n_new = self._read(i_new)
@@ -386,7 +407,7 @@ class ModuleTable:
         self.records.pop(old, None)
         self.records.pop(new, None)
         self._write(io, q_old_after, p_old - p_u, n_old - 1)
-        if i_new is None:
+        if i_new < 0:
             self.insert(new, q_new_after, p_new + p_u, n_new + 1)
         else:
             self._write(i_new, q_new_after, p_new + p_u, n_new + 1)
@@ -437,13 +458,16 @@ class _TableColumnView(Mapping):
         self._col = col  # position in ModuleTable._read's (q, p, n)
 
     def __getitem__(self, mod_id: int):
-        return self._table._read(self._table._pos[mod_id])[self._col]
+        i = self._table.slot(mod_id)
+        if i < 0:
+            raise KeyError(mod_id)
+        return self._table._read(i)[self._col]
 
     def __iter__(self):
-        return iter(self._table._pos)
+        return iter(self._table.ids.tolist() + self._table._ov_ids)
 
     def __len__(self) -> int:
-        return len(self._table._pos)
+        return self._table.ids.size + len(self._table._ov_ids)
 
 
 class LocalModuleState:
@@ -473,13 +497,13 @@ class LocalModuleState:
         ] = {}
         self._last_cols: "tuple[np.ndarray, ...] | None" = None
         self._sent_to: dict[int, np.ndarray] = {}
-        # Vertices whose (flow, member) mass this rank owns exactly once
-        # globally: the owned segment plus home-hub copies.
-        owned_mask = np.zeros(lg.num_local, dtype=bool)
-        owned_mask[: lg.num_owned] = True
-        hub_lo = lg.num_owned
-        owned_mask[hub_lo : hub_lo + lg.num_hubs] = lg.hub_home
-        self._mass_mask = owned_mask
+        # Local indices of the vertices whose (flow, member) mass this
+        # rank owns exactly once globally: the owned segment plus
+        # home-hub copies.
+        self.mass_idx = np.flatnonzero(
+            np.concatenate([np.ones(lg.num_owned, dtype=bool), lg.hub_home])
+        )
+        self._mass_flow = lg.flow[self.mass_idx]
         # Per-entry source local index, precomputed once.
         self._entry_src = np.repeat(
             np.arange(lg.num_sources, dtype=np.int64), np.diff(lg.indptr)
@@ -522,29 +546,23 @@ class LocalModuleState:
           module (each directed entry is stored on exactly one rank).
         """
         lg = self.lg
-        mass_idx = np.flatnonzero(self._mass_mask)
-        mass_mods = self.module_of[mass_idx]
-
+        mass_mods = self.module_of[self.mass_idx]
         mod_src = self.module_of[self._entry_src]
-        mod_dst = self.module_of[lg.nbr]
-        cross = mod_src != mod_dst
+        cross = mod_src != self.module_of[lg.nbr]
         exit_mods = mod_src[cross]
-        exit_flows = lg.nbr_flow[cross]
-
-        # bincount-on-inverse rather than np.add.at: same sequential
-        # entry-order accumulation (bitwise), an order of magnitude
-        # faster.
-        all_ids, inv = np.unique(
-            np.concatenate([mass_mods, exit_mods]), return_inverse=True
-        )
-        k = all_ids.size
-        inv_mass = inv[: mass_mods.size]
-        inv_exit = inv[mass_mods.size :]
-        sum_p = np.bincount(inv_mass, weights=lg.flow[mass_idx], minlength=k)
-        members = np.bincount(inv_mass, minlength=k).astype(np.int64)
-        exit_ = np.bincount(inv_exit, weights=exit_flows, minlength=k)
+        size = 1 + int(max(
+            mass_mods.max(initial=-1), exit_mods.max(initial=-1)
+        ))
+        ids = dense_unique(size, mass_mods, exit_mods)
         return Contribution(
-            mod_ids=all_ids, sum_p=sum_p, exit=exit_, members=members
+            mod_ids=ids,
+            sum_p=np.bincount(
+                mass_mods, weights=self._mass_flow, minlength=size
+            )[ids],
+            exit=np.bincount(
+                exit_mods, weights=lg.nbr_flow[cross], minlength=size
+            )[ids],
+            members=np.bincount(mass_mods, minlength=size)[ids],
         )
 
     # -- the table the ΔL kernel reads -----------------------------------------
@@ -598,48 +616,34 @@ class LocalModuleState:
             ex_parts.append(np.asarray(ex, dtype=np.float64))
             nm_parts.append(np.asarray(nm, dtype=np.float64))
         all_ids = np.concatenate(ids_parts)
-        uniq, inv = np.unique(all_ids, return_inverse=True)
-        k = uniq.size
-        sum_p = np.bincount(
-            inv, weights=np.concatenate(sp_parts), minlength=k
-        )
-        exit_ = np.bincount(
-            inv, weights=np.concatenate(ex_parts), minlength=k
-        )
-        members = np.bincount(
-            inv, weights=np.concatenate(nm_parts), minlength=k
-        ).astype(np.int64)
-        if k == 0:
-            sum_p = _EMPTY_F64.copy()
-            exit_ = _EMPTY_F64.copy()
-            members = _EMPTY_I64.copy()
         lg = self.lg
+        # Ghost/hub slots still in their singleton module.  Local slots
+        # hold distinct vertices, so each such module names one slot.
         idx = np.arange(lg.num_owned, lg.num_local)
-        mods = self.module_of[idx]
-        sel = mods == lg.global_of[idx]
-        if sel.any():
-            cand = mods[sel]
-            cand_idx = idx[sel]
-            # Keep the first occurrence per module id (ascending local
-            # index), then seed only the ones the table does not
-            # already know.
-            cu, first = np.unique(cand, return_index=True)
-            miss = ~np.isin(cu, uniq)
-            if miss.any():
-                add_ids = cu[miss]
-                src = cand_idx[first[miss]]
-                uniq = np.concatenate([uniq, add_ids])
-                sum_p = np.concatenate([sum_p, lg.flow[src]])
-                exit_ = np.concatenate([exit_, lg.exit0[src]])
-                members = np.concatenate(
-                    [members, np.ones(add_ids.size, dtype=np.int64)]
-                )
-                srt = np.argsort(uniq, kind="stable")
-                uniq = uniq[srt]
-                sum_p = sum_p[srt]
-                exit_ = exit_[srt]
-                members = members[srt]
-        self._table.reset(uniq, exit_, sum_p, members)
+        cand = self.module_of[idx]
+        sel = cand == lg.global_of[idx]
+        cand, src = cand[sel], idx[sel]
+        size = 1 + int(max(all_ids.max(initial=-1), cand.max(initial=-1)))
+        seen = np.zeros(size, dtype=bool)
+        seen[all_ids] = True
+        # (np.bincount over no ids is int64, weights or not.)
+        sum_p, exit_, members = (
+            np.bincount(
+                all_ids, weights=np.concatenate(parts), minlength=size
+            ).astype(np.float64, copy=False)
+            for parts in (sp_parts, ex_parts, nm_parts)
+        )
+        # Seed the ones the batches do not name.
+        miss = ~seen[cand]
+        cand, src = cand[miss], src[miss]
+        seen[cand] = True
+        sum_p[cand] = lg.flow[src]
+        exit_[cand] = lg.exit0[src]
+        members[cand] = 1.0
+        ids = np.flatnonzero(seen)
+        self._table.reset(
+            ids, exit_[ids], sum_p[ids], members[ids].astype(np.int64)
+        )
 
     def table_arrays(self) -> TableArrays:
         """Sorted-column view of the table (see :class:`TableArrays`).
@@ -825,7 +829,7 @@ class LocalModuleState:
             else:
                 same = np.zeros(own.mod_ids.size, dtype=bool)
             changed = own.mod_ids[~same]
-            vanished = lid[~np.isin(lid, own.mod_ids)]
+            vanished = lid[~np.isin(lid, own.mod_ids, assume_unique=True)]
         self._last_cols = (own.mod_ids, own.sum_p, own.exit, own.members)
 
         groups = lg.boundary_groups()
@@ -840,8 +844,8 @@ class LocalModuleState:
             pos = groups.get(dest)
             dmods = bl_mods[pos] if pos is not None else _EMPTY_I64
             van = (
-                vanished[np.isin(vanished, sent)] if vanished.size
-                else _EMPTY_I64
+                vanished[np.isin(vanished, sent, assume_unique=True)]
+                if vanished.size else _EMPTY_I64
             )
             seq = np.concatenate([hub_arr, dmods, van])
             if seq.size == 0:
@@ -850,16 +854,18 @@ class LocalModuleState:
             first.sort()  # first occurrences, in emission order
             ids = seq[first]
             keep = (
-                np.isin(ids, changed)
-                | np.isin(ids, vanished)
-                | ~np.isin(ids, sent)
+                np.isin(ids, changed, assume_unique=True)
+                | np.isin(ids, vanished, assume_unique=True)
+                | ~np.isin(ids, sent, assume_unique=True)
             )
             ids = np.ascontiguousarray(ids[keep])
             if ids.size == 0:
                 continue
             sp, ex, nm, _ = self._own_lookup(own, ids)
             result[dest] = (ids, sp, ex, nm)
-            self._sent_to[dest] = np.union1d(sent, ids)
+            self._sent_to[dest] = sorted_unique(
+                np.concatenate([sent, ids])
+            )
         return result
 
     def apply_swap_delta(
@@ -870,7 +876,7 @@ class LocalModuleState:
         for src, (ids, sp, ex, nm) in received.items():
             old = self._peer_cols.get(src)
             if old is not None and old[0].size:
-                stay = ~np.isin(old[0], ids)
+                stay = ~np.isin(old[0], ids, assume_unique=True)
                 ids = np.concatenate([old[0][stay], ids])
                 sp = np.concatenate([old[1][stay], sp])
                 ex = np.concatenate([old[2][stay], ex])

@@ -37,6 +37,24 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def dense_unique(size: int, *parts: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the non-negative ints in *parts*, all below
+    *size*, from a presence mask: no sort."""
+    seen = np.zeros(size, dtype=bool)
+    for part in parts:
+        seen[part] = True
+    return np.flatnonzero(seen)
+
+
+def dense_isin(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``np.isin(values, ids)`` for non-negative ints, from a presence
+    mask over *ids*' range whose last entry, ``False``, every larger
+    value reads."""
+    seen = np.zeros(int(ids.max(initial=-1)) + 2, dtype=bool)
+    seen[ids] = True
+    return seen[np.minimum(values, seen.size - 1)]
+
+
 @dataclass
 class LocalGraph:
     """One rank's subgraph in local index space.

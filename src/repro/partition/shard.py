@@ -41,7 +41,7 @@ import numpy as np
 from ..graph.extcsr import ADJ_FILE, WTS_FILE, XADJ_FILE, store_header
 from ..obs.live import PHASE_INGEST
 from ..simmpi.comm import Communicator
-from .distgraph import LocalGraph
+from .distgraph import LocalGraph, sorted_unique
 from .oned import entry_balanced_bounds
 
 __all__ = ["ShardPlan", "plan_shards", "load_shard"]
@@ -228,7 +228,7 @@ def _load_shard_body(
                 np.add.at(exit_acc, rows[~selfs], fw[~selfs])
                 remote = a[(a < b0) | (a >= b1)]
                 if remote.size:
-                    ghosts = np.union1d(ghosts, remote)
+                    ghosts = sorted_unique(np.concatenate([ghosts, remote]))
     strength += self_extra
     node_flow = strength / denom
 
@@ -303,7 +303,7 @@ def _load_shard_body(
                 nbr[lo - e0 : hi - e0] = local
 
     nbr_ranks = set(int(q) for q in req_srcs)
-    nbr_ranks.update(int(q) for q in np.unique(gowner).tolist())
+    nbr_ranks.update(int(q) for q in sorted_unique(gowner).tolist())
     nbr_ranks.discard(r)
 
     lg = LocalGraph(

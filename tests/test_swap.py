@@ -288,9 +288,10 @@ class TestApplyLocalMove:
 
 
 class TestSlotIndex:
-    """The table's dense slot index answers what a binary search of its
-    sorted id column answers (and, for an overflow module, its
-    ``_pos`` slot), after every way the table changes."""
+    """The table's dense slot index, and its scalar :meth:`slot`
+    lookups, answer what a binary search of its sorted id column
+    answers (and, for an overflow module, its overflow slot), after
+    every way the table changes."""
 
     @staticmethod
     def _slots(t: ModuleTable, ids: np.ndarray) -> np.ndarray:
@@ -319,6 +320,11 @@ class TestSlotIndex:
         np.testing.assert_array_equal(
             self._slots(t, ids), self._searched(t, ids)
         )
+        assert [t.slot(m) for m in ids.tolist()] == (
+            self._searched(t, ids).tolist()
+        )
+        for j, m in enumerate(t._ov_ids):
+            assert t.slot(m) == t.ids.size + j
         if t.index is None:
             return
         assert t.index.size == (top + 2 if known else 1)
@@ -327,8 +333,6 @@ class TestSlotIndex:
             t.index[np.minimum(ids, t.index.size - 1)],
             self._searched(t, ids),
         )
-        for m, slot in t._pos.items():
-            assert t.index[m] == slot
 
     def test_reset_insert_compact(self):
         t = ModuleTable()
@@ -361,11 +365,13 @@ class TestSlotIndex:
         t.insert(10**9, 0.1, 0.1, 1)  # far past 64 ids per module
         assert t.index is None
         self._check(t)
+        t.insert(5, 0.1, 0.1, 1)  # while unindexed
+        self._check(t)
         t.compact()
         assert t.index is None
         self._check(t)
         assert self._slots(t, np.array([10**9, 7, 10**9 + 1])).tolist() == [
-            2, 1, -1,
+            3, 2, -1,
         ]
         t.reset(ids, np.full(2, 0.1), np.full(2, 0.2), np.ones(2, np.int64))
         assert t.index is not None
