@@ -1,8 +1,10 @@
 """Graph construction: canonicalize raw edges into the CSR format.
 
-Everything here is vectorized numpy (sort + unique + bincount) so
-building a million-edge graph costs milliseconds, per the optimization
-guide's "no Python loops over edges" rule.
+Everything here is vectorized numpy (sort + bincount) so building a
+million-edge graph costs milliseconds, per the optimization guide's
+"no Python loops over edges" rule.  Every stable integer sort of the
+ingest path runs through :func:`stable_order`, a radix sort over
+16-bit digits.
 """
 
 from __future__ import annotations
@@ -18,8 +20,42 @@ __all__ = [
     "from_edge_array",
     "from_adjacency",
     "relabel_compact",
+    "stable_order",
     "validate_edge_chunk",
 ]
+
+#: Bits per radix digit: numpy sorts ``uint16`` keys by radix sort.
+_DIGIT_BITS = 16
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for a 1-D array of
+    non-negative integer keys.
+
+    An LSD radix sort: one stable ``uint16`` argsort (numpy's radix
+    sort) per 16-bit digit, lowest digit first, over as many digits as
+    ``keys.max()`` needs; each pass reads its digit through a
+    ``uint16`` view of the keys.  A stable sort's permutation is unique
+    (equal keys keep their input order), and each pass is stable on its
+    digit, so the result equals numpy's stable ``int64`` argsort
+    element for element, several times faster on the dense vertex ids
+    and packed ``row * n + col`` keys the builders sort.  Peak
+    transients are about 25 bytes per key.
+
+    Keys of any integer dtype are taken as ``int64``; a negative key
+    raises ``ValueError``.  Returns an ``int64`` (``intp``) permutation.
+    """
+    keys = np.ascontiguousarray(keys, dtype="<i8")
+    if not keys.size:
+        return np.empty(0, dtype=np.intp)
+    if keys.min() < 0:
+        raise ValueError("stable_order keys must be non-negative")
+    top = int(keys.max()).bit_length()
+    digits = keys.view("<u2").reshape(keys.size, 64 // _DIGIT_BITS)
+    order = np.argsort(digits[:, 0], kind="stable")
+    for d in range(1, -(-top // _DIGIT_BITS)):
+        order = order[np.argsort(digits[order, d], kind="stable")]
+    return order
 
 
 def validate_edge_chunk(
@@ -112,6 +148,14 @@ def from_edge_array(
         keep_self_loops: drop self-loops by default (community
             detection input convention); keep them for coarsened graphs.
 
+    Two sorts, both :func:`stable_order`: the canonical edges by the
+    packed key ``u * n + v`` (stable, so a duplicate group keeps input
+    order: ``"first"`` keeps the first occurrence and ``"sum"`` adds
+    weights in input order), with a head mask over the sorted keys
+    marking each group's first entry; then both mirror directions by
+    ``src * n + dst``, which orders every row by neighbour.  Both keys
+    are below ``n**2``, which must fit ``int64`` (``n < 3.03e9``).
+
     Raises:
         ValueError: negative ids, shape mismatch, or non-finite /
             non-positive weights (zero-weight edges carry no flow and
@@ -134,10 +178,12 @@ def from_edge_array(
 
     if u.size:
         key = u * np.int64(n) + v
-        order = np.argsort(key, kind="stable")
+        order = stable_order(key)
         key, u, v, wts = key[order], u[order], v[order], wts[order]
-        uniq, start = np.unique(key, return_index=True)
-        if uniq.size != key.size:
+        del order
+        start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        del key
+        if start.size != u.size:
             if dedup == "error":
                 raise ValueError("parallel edges present and dedup='error'")
             if dedup == "first":
@@ -147,6 +193,7 @@ def from_edge_array(
                 u, v, wts = u[start], v[start], seg
             else:
                 raise ValueError(f"unknown dedup policy {dedup!r}")
+        del start
 
     loops = u == v
     n_loops = int(np.count_nonzero(loops))
@@ -156,14 +203,15 @@ def from_edge_array(
     all_src = np.concatenate([u[nl], v[nl], u[loops]])
     all_dst = np.concatenate([v[nl], u[nl], v[loops]])
     all_w = np.concatenate([wts[nl], wts[nl], wts[loops]])
+    del u, v, wts, loops, nl
 
-    order = np.lexsort((all_dst, all_src))
-    all_src, all_dst, all_w = all_src[order], all_dst[order], all_w[order]
+    # Entries are distinct (src, dst) pairs, so this sort by the packed
+    # key orders every adjacency row by neighbour id (recorded for
+    # searchsorted edge lookups).
+    order = stable_order(all_src * np.int64(n) + all_dst)
+    all_dst, all_w = all_dst[order], all_w[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, all_src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    # The lexsort above orders every adjacency row by neighbour id, so
-    # record that for searchsorted edge lookups.
+    np.cumsum(np.bincount(all_src, minlength=n), out=indptr[1:])
     return Graph(
         indptr=indptr, indices=all_dst, weights=all_w, num_self_loops=n_loops,
         sorted_rows=True,

@@ -103,8 +103,8 @@ class GraphDelta:
         wts = np.where(changes, wts, 0.0)
         if u.size:
             hi = int(max(u.max(), v.max())) + 1
-            key = u * np.int64(hi) + v
-            if np.unique(key).size != key.size:
+            key = np.sort(u * np.int64(hi) + v)
+            if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate edge within one delta batch")
         object.__setattr__(self, "src", u)
         object.__setattr__(self, "dst", v)

@@ -19,6 +19,13 @@ under the same dedup policy as :func:`repro.graph.builder.from_edge_array`,
 and compacts in place.  Peak RAM is O(num_vertices) counters plus one
 block of entries — never the edge set.
 
+Both sorting passes use :func:`repro.graph.builder.stable_order`, the
+in-RAM builder's kernel: LSD radix passes of numpy's stable ``uint16``
+argsort over the 16-bit digits of the key (pass B's row ids; pass C's
+packed ``(row - r0) * n + neighbour``, below ``n**2``).  A stable
+sort's permutation is unique, so the kernel's is exactly
+``np.argsort(kind="stable")``'s.
+
 The result is **bitwise identical** to the in-RAM builder: within a
 duplicate group entries stay in file order (stable sorts throughout),
 so ``dedup="sum"`` reduces the identical float sequence and
@@ -40,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .builder import validate_edge_chunk
+from .builder import stable_order, validate_edge_chunk
 from .graph import Graph
 from .io import DEFAULT_CHUNK_BYTES, EdgeChunk, iter_edgelist_chunks, iter_metis_chunks
 
@@ -83,12 +90,12 @@ def _scatter_side(
     """Counting-scatter one mirror direction of a block.
 
     ``nxt`` holds each row's write cursor; entries of the same row land
-    at consecutive cursor positions *in block order* (stable argsort),
+    at consecutive cursor positions *in block order* (stable sort),
     which is what keeps duplicate groups in file order end to end.
     """
     if not rows.size:
         return
-    order = np.argsort(rows, kind="stable")
+    order = stable_order(rows)
     rs = rows[order]
     starts = np.flatnonzero(np.concatenate(([True], rs[1:] != rs[:-1])))
     lens = np.diff(np.append(starts, rs.size))
@@ -204,13 +211,17 @@ def build_csr_store(
             r1 = min(max(r1, r0 + 1), n)
             lo, hi = int(xadj_raw[r0]), int(xadj_raw[r1])
             a = np.array(adj[lo:hi])
-            w = np.array(wgt[lo:hi])
             rows = np.repeat(
                 np.arange(r0, r1, dtype=np.int64),
                 deg[r0:r1],
             )
-            order = np.lexsort((a, rows))  # stable: ties keep file order
-            a, w, rows = a[order], w[order], rows[order]
+            # (rows - r0) * n + a < n**2, the bound from_edge_array's
+            # u * n + v assumes; stable, so ties keep file order.  Rows
+            # are ascending already, so the sort leaves them in place.
+            order = stable_order((rows - r0) * np.int64(n) + a)
+            a = a[order]
+            w = np.asarray(wgt[lo:hi])[order]
+            del order
             if a.size:
                 grp = np.concatenate(
                     ([True], (rows[1:] != rows[:-1]) | (a[1:] != a[:-1]))

@@ -8,12 +8,17 @@ paths.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graph import (
     GraphDelta,
     Graph,
@@ -325,3 +330,38 @@ def test_property_store_matches_ram(gd, tmp_path_factory):
     graph_to_store(ref, ref_dir)
     want = json.loads((ref_dir / "header.json").read_text())
     assert store_header(store) == want
+
+
+_NO_MA = """
+import sys
+from repro.graph import GraphDelta, read_delta_file
+
+batch = read_delta_file(sys.argv[1])
+assert len(batch) == 3
+GraphDelta.build(insert=([1, 4], [2, 5], [1.0, 2.0]), delete=([3], [1]))
+try:
+    GraphDelta.build(insert=([1], [2], [1.0]), delete=([2], [1]))
+except ValueError as exc:
+    assert "duplicate edge within one delta batch" in str(exc), exc
+else:
+    raise AssertionError("duplicate edge accepted")
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+
+
+def test_delta_batches_do_not_import_numpy_ma(tmp_path):
+    """A flag-less ``np.unique`` imports ``numpy.ma`` (about 10 ms per
+    process) in numpy 2.4; parsing and checking a delta batch, with or
+    without a duplicate, must not."""
+    path = tmp_path / "batch.delta"
+    path.write_text("+ 0 1 2.0\n- 1 2\n~ 2 3 0.5\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MA, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -37,7 +37,7 @@ class TestRequest:
             if comm.rank == 0:
                 req = comm.irecv(source=1)
                 first, _ = req.test()  # nothing sent yet
-                comm.barrier()         # rank 1 sends before this returns
+                comm.barrier()         # rank 1 sends only after this
                 # Poll until arrival (bounded).
                 for _ in range(200):
                     done, val = req.test()
@@ -45,8 +45,8 @@ class TestRequest:
                         return (first, val)
                     time.sleep(0.005)
                 return (first, None)
+            comm.barrier()  # rank 0 has made its first poll
             comm.send("payload", 0)
-            comm.barrier()
             return None
 
         res = run_spmd(prog, 2)
